@@ -63,6 +63,8 @@ class ConstraintReport:
     violations: list[str] = field(default_factory=list)
     channel_loads: dict[ChannelKey, float] = field(default_factory=dict)
     bisection_bandwidth: float | None = None
+    """Only computed under a ``max_bisection_bandwidth`` limit; ``None``
+    otherwise (and for single-router topologies)."""
     max_router_degree: int = 0
 
     def raise_if_violated(self) -> None:
@@ -153,17 +155,16 @@ class ConstraintChecker:
                     f"required {load:g} > capacity {capacity:g} bits/cycle"
                 )
 
-        # 3. wiring resources via bisection bandwidth
+        # 3. wiring resources via bisection bandwidth (exponential in the
+        # router count, so only computed when a limit asks for it)
         bisection = None
-        if topology.num_routers >= 2:
+        limit = self.constraints.max_bisection_bandwidth
+        if limit is not None and topology.num_routers >= 2:
             bisection = bisection_bandwidth(topology).bandwidth_bits_per_cycle
-            if (
-                self.constraints.max_bisection_bandwidth is not None
-                and bisection > self.constraints.max_bisection_bandwidth + 1e-9
-            ):
+            if bisection > limit + 1e-9:
                 violations.append(
                     f"bisection bandwidth {bisection:g} exceeds the technology limit "
-                    f"{self.constraints.max_bisection_bandwidth:g} bits/cycle"
+                    f"{limit:g} bits/cycle"
                 )
 
         # 4. router degree (port count)

@@ -624,6 +624,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # silence the interpreter-shutdown flush and exit cleanly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except OSError as error:
+        # a missing or unreadable input file is CLI misuse, not a crash
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

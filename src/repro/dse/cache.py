@@ -42,6 +42,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Callable
+from contextlib import AbstractContextManager
 from pathlib import Path
 
 from repro.core.cost import LinkCountCostModel
@@ -357,9 +359,10 @@ class StageContext:
     Holds an in-memory memo of decompositions (by decomposition sub-key)
     and synthesized architectures (by synthesis sub-key), backed by an
     optional :class:`StageArtifactStore` that persists decompositions across
-    runs and across worker processes.  :func:`repro.dse.pipeline.evaluate`
-    consults the context so a simulator-axis sweep runs the decomposition
-    search exactly once per sub-key.
+    runs and across worker processes.  Every custom cell of
+    :func:`repro.dse.pipeline.evaluate` goes through a context (a throwaway
+    one when the caller passes none), so a simulator-axis sweep sharing one
+    context runs the decomposition search exactly once per sub-key.
     """
 
     def __init__(self, store: StageArtifactStore | None = None) -> None:
@@ -402,19 +405,26 @@ class StageContext:
         scenario: Scenario,
         settings: EvaluationSettings,
         decomposition: DecompositionResult,
+        stage: Callable[[str], AbstractContextManager[None]],
     ) -> tuple[SynthesizedArchitecture, str]:
         """The synthesize/route-stage product for one cell, memoized.
 
         Rebuilding topology + routing table from a decomposition is cheap
         and deterministic, so this layer is memoized in memory only; across
         processes it is regenerated from the shared decomposition artifact.
+        ``stage(name)`` wraps the ``"synthesize"`` step (the memo lookup,
+        plus the topology build on a miss) and, on a miss, the ``"route"``
+        step, so the pipeline times and spans each one separately.
         """
         settings = scenario.effective_settings(settings)  # match the key's view
-        key = synthesis_stage_key(scenario, settings)
-        memoized = self._architectures.get(key)
+        with stage("synthesize"):
+            key = synthesis_stage_key(scenario, settings)
+            memoized = self._architectures.get(key)
+            if memoized is None:
+                topology = synthesize_stage(scenario, settings, decomposition)
         if memoized is not None:
             return memoized, STAGE_REUSED_MEMORY
-        topology = synthesize_stage(scenario, settings, decomposition)
-        architecture = route_stage(scenario, settings, decomposition, topology)
+        with stage("route"):
+            architecture = route_stage(scenario, settings, decomposition, topology)
         self._architectures[key] = architecture
         return architecture, STAGE_COMPUTED

@@ -3,30 +3,35 @@
 This is the engine the batch design-space exploration is built on — and
 the same engine the Section-5.2 prototype comparison now runs on
 (:mod:`repro.experiments.comparison` delegates its measurements here).
-One call to :func:`evaluate` chains the explicit stage functions
+Every cell takes one path.  :func:`_prepare_cell` builds the record and
+chains
 
     decompose_stage -> synthesize_stage -> route_stage
-        -> simulate_stage -> score_stage
 
-for the ``custom`` architecture, or builds the standard-fabric baseline
-(a :mod:`repro.arch.families` topology family compiled against a
+for the ``custom`` architecture (always through a
+:class:`~repro.dse.cache.StageContext`, a throwaway one when the caller
+passes none), or builds the standard-fabric baseline (a
+:mod:`repro.arch.families` topology family compiled against a
 :mod:`repro.routing.policies` routing policy, via
-:func:`baseline_route_stage`) for ``mesh``, then drives the cycle-level
-simulator with the
-scenario's traffic (plain ACG batches, or the dependency-aware AES
-phases) and captures every figure of merit into an
-:class:`~repro.dse.records.EvaluationRecord`.  Failures at any stage
-become record statuses, not exceptions: an infeasible or deadlocking
-configuration is a *result* of the exploration.
+:func:`baseline_route_stage`) for ``mesh``.  Then ``simulate_stage ->
+score_stage`` drive the cycle-level simulator with the scenario's traffic
+program (plain ACG batches, or the dependency-aware AES phases) and
+capture every figure of merit into an
+:class:`~repro.dse.records.EvaluationRecord` — one cell at a time in
+:func:`evaluate`, or many cells per vectorized simulator call for
+batch-engine cells in :func:`evaluate_cells`.  Failures at any stage
+become record statuses (:func:`_assign_failure`), not exceptions: an
+infeasible or deadlocking configuration is a *result* of the exploration.
 
 The stages are separable on purpose: the decompose stage only reads the
 workload graph plus the decomposition knobs, and the synthesize/route
 stages only add the synthesis knobs, so sweep cells that differ in
 simulator-stage axes alone (injection knobs, buffering, cycle budgets)
 share one decomposition — and one synthesized topology — through a
-:class:`~repro.dse.cache.StageContext`.  ``record.stage_reuse`` says per
-cell whether each stage was computed fresh or served from the in-memory
-memo (``"memory"``) or the on-disk artifact store (``"store"``).
+shared :class:`~repro.dse.cache.StageContext`.  ``record.stage_reuse``
+says per cell whether each stage was computed fresh or served from the
+in-memory memo (``"memory"``) or the on-disk artifact store
+(``"store"``).
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ import time
 from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from typing import TYPE_CHECKING
 
 from repro.aes.aes_core import FIPS197_KEY
 from repro.aes.distributed import DistributedAES
@@ -66,7 +73,6 @@ from repro.core.synthesis import (
     TopologySynthesizer,
 )
 from repro.dse.records import (
-    STAGE_COMPUTED,
     STATUS_DECOMPOSITION_FAILED,
     STATUS_ROUTING_FAILED,
     STATUS_SIMULATION_FAILED,
@@ -78,6 +84,7 @@ from repro.exceptions import (
     ConfigurationError,
     DeadlockError,
     DecompositionError,
+    ReproError,
     RoutingError,
     SimulationError,
     SynthesisError,
@@ -86,7 +93,6 @@ from repro.noc.batch import BatchSimulator, DrainOp, RunOp, ScheduleOp
 from repro.noc.simulator import (
     ENGINE_BATCH,
     ENGINE_EVENT,
-    ENGINES,
     NoCSimulator,
     SimulatorConfig,
 )
@@ -97,6 +103,9 @@ from repro.plugins import Registry
 from repro.routing.deadlock import DeadlockReport, analyze_deadlock
 from repro.routing.policies import get_policy
 from repro.routing.table import RoutingTable
+
+if TYPE_CHECKING:
+    from repro.dse.cache import StageContext
 
 NodeId = Hashable
 RoutingFunction = Callable[[NodeId, NodeId], NodeId]
@@ -257,10 +266,12 @@ class EvaluationSettings:
         LIBRARIES.get(self.library)  # raises UnknownPluginError when unknown
         get_family(self.topology)  # raises ConfigurationError when unknown
         get_policy(self.routing_policy)  # raises ConfigurationError when unknown
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown simulator engine {self.engine!r} (use one of {ENGINES})"
-            )
+        try:
+            # rejects an unknown engine and non-positive buffer/pipeline knobs
+            # at plan time instead of caching simulation_failed records
+            self.build_simulator_config()
+        except SimulationError as error:
+            raise ConfigurationError(str(error)) from error
         if self.lower_bound not in BOUND_NAMES:
             raise ConfigurationError(
                 f"unknown lower bound {self.lower_bound!r} (use one of {BOUND_NAMES})"
@@ -615,13 +626,82 @@ def _session_probe(simulator: NoCSimulator) -> SimulatorProbe | None:
     return probe
 
 
-def _flush_probe(probe: SimulatorProbe | None, simulator: NoCSimulator, name: str) -> None:
+def _flush_probe(probe: SimulatorProbe | None, statistics, name: str) -> None:
     """Publish a probe's per-router/per-channel figures into session metrics."""
     if probe is None:
         return
     metrics = get_session().metrics
     if metrics is not None:
-        probe.emit_metrics(metrics, simulator.statistics, architecture=name)
+        probe.emit_metrics(metrics, statistics, architecture=name)
+
+
+#: one step of a traffic program (what :meth:`BatchSimulator.enqueue` takes)
+TrafficOp = ScheduleOp | DrainOp | RunOp
+
+
+def _traffic_program(
+    traffic: str,
+    iterations: int,
+    acg: ApplicationGraph | None = None,
+    packet_size_bits: int = 32,
+    computation_cycles_per_phase: int = 0,
+) -> list[TrafficOp]:
+    """A built-in traffic mode as a schedule/drain/run op program.
+
+    ``"acg"``: per repetition, schedule every ACG edge's volume and drain.
+    ``"aes_phases"``: per AES block, schedule each phase of the distributed
+    encryption, drain, then idle for the computation allowance.  The solo
+    traffic modes replay the program on a :class:`NoCSimulator`; the
+    batched simulate stage enqueues it on a :class:`BatchSimulator` cell.
+    """
+    if traffic == TRAFFIC_ACG:
+        messages = tuple(acg_messages(acg, packet_size_bits=packet_size_bits))
+        return [op for _ in range(iterations) for op in (ScheduleOp(messages), DrainOp())]
+    if computation_cycles_per_phase < 0:
+        raise SimulationError("computation cycles per phase must be non-negative")
+    idle = [RunOp(computation_cycles_per_phase)] if computation_cycles_per_phase else []
+    aes = DistributedAES(FIPS197_KEY)
+    plaintext = bytes(range(16))
+    program: list[TrafficOp] = []
+    for block_index in range(iterations):
+        block = bytes((byte + block_index) % 256 for byte in plaintext)
+        for phase in aes.encrypt_block(block).phases:
+            program += [ScheduleOp(tuple(phase)), DrainOp(), *idle]
+    return program
+
+
+def _replay_program(
+    name: str,
+    topology: Topology,
+    routing: RoutingFunction,
+    technology: Technology,
+    simulator_config: SimulatorConfig,
+    program: list[TrafficOp],
+    iterations: int,
+    aes_blocks: bool,
+) -> ArchitectureMetrics:
+    """Run one traffic program on a fresh :class:`NoCSimulator`."""
+    simulator = NoCSimulator(topology, routing, config=simulator_config, technology=technology)
+    probe = _session_probe(simulator)
+    for op in program:
+        if isinstance(op, ScheduleOp):
+            simulator.schedule_messages(op.messages)
+        elif isinstance(op, DrainOp):
+            simulator.run_until_drained(op.max_cycles)
+        else:
+            simulator.run(op.cycles)
+    _flush_probe(probe, simulator.statistics, name)
+    return _metrics_from_state(
+        name,
+        topology,
+        technology,
+        simulator.statistics,
+        simulator.energy,
+        engine=simulator.config.engine,
+        cycles_stepped=simulator.cycles_stepped,
+        iterations=iterations,
+        aes_blocks=aes_blocks,
+    )
 
 
 def simulate_aes_traffic(
@@ -636,27 +716,11 @@ def simulate_aes_traffic(
     """Run the dependency-aware distributed-AES phases on one architecture."""
     if blocks < 1:
         raise ConfigurationError("the comparison needs at least one block")
-    simulator = NoCSimulator(topology, routing, config=simulator_config, technology=technology)
-    probe = _session_probe(simulator)
-    aes = DistributedAES(FIPS197_KEY)
-    plaintext = bytes(range(16))
-    for block_index in range(blocks):
-        block = bytes((byte + block_index) % 256 for byte in plaintext)
-        trace = aes.encrypt_block(block)
-        simulator.run_phases(
-            trace.phases, computation_cycles_per_phase=computation_cycles_per_phase
-        )
-    _flush_probe(probe, simulator, name)
-    return _metrics_from_state(
-        name,
-        topology,
-        technology,
-        simulator.statistics,
-        simulator.energy,
-        engine=simulator.config.engine,
-        cycles_stepped=simulator.cycles_stepped,
-        iterations=blocks,
-        aes_blocks=True,
+    program = _traffic_program(
+        TRAFFIC_AES_PHASES, blocks, computation_cycles_per_phase=computation_cycles_per_phase
+    )
+    return _replay_program(
+        name, topology, routing, technology, simulator_config, program, blocks, True
     )
 
 
@@ -677,22 +741,9 @@ def simulate_acg_traffic(
     """
     if repetitions < 1:
         raise ConfigurationError("at least one traffic repetition is required")
-    simulator = NoCSimulator(topology, routing, config=simulator_config, technology=technology)
-    probe = _session_probe(simulator)
-    for _ in range(repetitions):
-        simulator.schedule_messages(acg_messages(acg, packet_size_bits=packet_size_bits))
-        simulator.run_until_drained()
-    _flush_probe(probe, simulator, name)
-    return _metrics_from_state(
-        name,
-        topology,
-        technology,
-        simulator.statistics,
-        simulator.energy,
-        engine=simulator.config.engine,
-        cycles_stepped=simulator.cycles_stepped,
-        iterations=repetitions,
-        aes_blocks=False,
+    program = _traffic_program(TRAFFIC_ACG, repetitions, acg, packet_size_bits)
+    return _replay_program(
+        name, topology, routing, technology, simulator_config, program, repetitions, False
     )
 
 
@@ -782,23 +833,28 @@ def run_decomposition_search(
     )
 
 
+def _stage_context(context: StageContext | None) -> StageContext:
+    """The caller's stage context, or a throwaway one (every stage computed)."""
+    from repro.dse import cache  # imported late: the cache module builds on this one
+
+    return context or cache.StageContext()
+
+
 def decompose_stage(
     scenario: Scenario,
     settings: EvaluationSettings,
-    context: "object | None" = None,
+    context: StageContext | None = None,
 ) -> tuple[DecompositionResult, str]:
     """Stage 1: cover the workload graph with library primitives.
 
     Returns ``(decomposition, provenance)`` where provenance is one of the
     :data:`~repro.dse.records.STAGE_COMPUTED` /
     :data:`~repro.dse.records.STAGE_REUSED_MEMORY` /
-    :data:`~repro.dse.records.STAGE_REUSED_STORE` markers.  With a
+    :data:`~repro.dse.records.STAGE_REUSED_STORE` markers.  Through a
     :class:`~repro.dse.cache.StageContext` the search runs at most once per
-    decomposition sub-key; without one it always runs fresh.
+    decomposition sub-key; without one, a throwaway context runs it fresh.
     """
-    if context is None:
-        return run_decomposition_search(scenario, settings), STAGE_COMPUTED
-    return context.decomposition_for(scenario, settings)
+    return _stage_context(context).decomposition_for(scenario, settings)
 
 
 def synthesize_stage(
@@ -862,42 +918,41 @@ def simulate_stage(
     )
 
 
-def _simulate_acg_mode(
-    scenario: Scenario,
-    settings: EvaluationSettings,
-    name: str,
-    topology: Topology,
-    routing: RoutingFunction,
-) -> ArchitectureMetrics:
-    """The ``"acg"`` traffic mode: batched ACG volumes, drained per repetition."""
-    return simulate_acg_traffic(
-        name,
-        topology,
-        routing,
+def _iterations(scenario: Scenario) -> int:
+    """Iterations a built-in traffic mode runs: AES blocks or ACG repetitions."""
+    if scenario.traffic == TRAFFIC_AES_PHASES:
+        return scenario.aes_blocks
+    return scenario.repetitions
+
+
+def _scenario_program(scenario: Scenario) -> list[TrafficOp]:
+    """A scenario's built-in traffic mode as its op program."""
+    return _traffic_program(
+        scenario.traffic,
+        _iterations(scenario),
         scenario.acg,
-        technology=settings.build_technology(),
-        simulator_config=settings.build_simulator_config(),
-        repetitions=scenario.repetitions,
-        packet_size_bits=scenario.packet_size_bits,
+        scenario.packet_size_bits,
+        scenario.computation_cycles_per_phase,
     )
 
 
-def _simulate_aes_mode(
+def _simulate_builtin_mode(
     scenario: Scenario,
     settings: EvaluationSettings,
     name: str,
     topology: Topology,
     routing: RoutingFunction,
 ) -> ArchitectureMetrics:
-    """The ``"aes_phases"`` traffic mode: dependency-aware AES phase traces."""
-    return simulate_aes_traffic(
+    """The ``"acg"`` and ``"aes_phases"`` modes: replay the scenario's program."""
+    return _replay_program(
         name,
         topology,
         routing,
-        blocks=scenario.aes_blocks,
-        technology=settings.build_technology(),
-        simulator_config=settings.build_simulator_config(),
-        computation_cycles_per_phase=scenario.computation_cycles_per_phase,
+        settings.build_technology(),
+        settings.build_simulator_config(),
+        _scenario_program(scenario),
+        _iterations(scenario),
+        aes_blocks=scenario.traffic == TRAFFIC_AES_PHASES,
     )
 
 
@@ -905,7 +960,7 @@ register_traffic_mode(
     TrafficModeSpec(
         name=TRAFFIC_ACG,
         description="inject every ACG edge's volume per repetition and drain",
-        simulate=_simulate_acg_mode,
+        simulate=_simulate_builtin_mode,
     )
 )
 
@@ -913,7 +968,7 @@ register_traffic_mode(
     TrafficModeSpec(
         name=TRAFFIC_AES_PHASES,
         description="dependency-aware distributed-AES phase trace",
-        simulate=_simulate_aes_mode,
+        simulate=_simulate_builtin_mode,
     )
 )
 
@@ -1009,30 +1064,113 @@ def _synthesize_custom(
     scenario: Scenario,
     settings: EvaluationSettings,
     record: EvaluationRecord,
-    context: "object | None",
+    context: StageContext,
 ) -> SynthesizedArchitecture:
     """Chain decompose -> synthesize -> route for one custom-architecture cell."""
     with _stage(record, "decompose"):
         decomposition, provenance = decompose_stage(scenario, settings, context)
     record.stage_reuse["decompose"] = provenance
     _record_decomposition(record, decomposition)
-    if context is not None:
-        # the memoized synthesize+route product; one fused stage timing
-        with _stage(record, "synthesize"):
-            architecture, provenance = context.architecture_for(
-                scenario, settings, decomposition
-            )
-    else:
-        with _stage(record, "synthesize"):
-            topology = synthesize_stage(scenario, settings, decomposition)
-        with _stage(record, "route"):
-            architecture = route_stage(scenario, settings, decomposition, topology)
-        provenance = STAGE_COMPUTED
+    architecture, provenance = context.architecture_for(
+        scenario, settings, decomposition, stage=partial(_stage, record)
+    )
     record.stage_reuse["synthesize"] = provenance
     if architecture.constraint_report is not None:
         record.constraints_satisfied = architecture.constraint_report.satisfied
     _apply_deadlock_gate(record, settings, architecture.deadlock_report)
     return architecture
+
+
+#: exception type -> record status, in match order (DeadlockError is a
+#: RoutingError; anything unlisted is a caller bug and keeps raising)
+_FAILURE_STATUSES: tuple[tuple[type, str], ...] = (
+    (DecompositionError, STATUS_DECOMPOSITION_FAILED),
+    (SynthesisError, STATUS_SYNTHESIS_FAILED),
+    (RoutingError, STATUS_ROUTING_FAILED),
+    (SimulationError, STATUS_SIMULATION_FAILED),
+)
+
+
+def _assign_failure(record: EvaluationRecord, error: ReproError) -> None:
+    """Map a pipeline exception onto the record statuses (or re-raise).
+
+    Any other :class:`~repro.exceptions.ReproError` (``ConfigurationError``,
+    ``WorkloadError``, an unknown technology, ...) is a caller bug, not an
+    exploration outcome: it raises rather than poison the result cache
+    with mislabeled failures.
+    """
+    for exception_type, status in _FAILURE_STATUSES:
+        if isinstance(error, exception_type):
+            record.status = status
+            record.error = str(error)
+            return
+    raise error
+
+
+@dataclass
+class _PreparedCell:
+    """One cell's pipeline state between its route and simulate stages.
+
+    ``record.runtime_seconds`` holds the time spent so far; ``routing`` is
+    ``None`` when the cell already failed (its record carries the status).
+    """
+
+    scenario: Scenario
+    settings: EvaluationSettings
+    record: EvaluationRecord
+    topology: Topology | None = None
+    table: RoutingTable | None = None
+    routing: RoutingFunction | None = None
+
+
+def _prepare_cell(
+    scenario: Scenario,
+    settings: EvaluationSettings,
+    cache_key: str,
+    config_label: str,
+    axes: Mapping[str, object] | None,
+    context: StageContext | None,
+) -> _PreparedCell:
+    """Run one cell's pipeline up to (not including) the simulate stage.
+
+    Builds the record, then either decompose -> synthesize -> route (custom,
+    through ``context`` or a throwaway :class:`~repro.dse.cache.StageContext`
+    that computes every stage fresh) or :func:`baseline_route_stage` (mesh).
+    Pipeline failures become record statuses via :func:`_assign_failure`.
+    """
+    settings = scenario.effective_settings(settings)
+    record = EvaluationRecord(
+        scenario=scenario.name,
+        architecture=settings.architecture,
+        config_label=config_label or settings.architecture,
+        cache_key=cache_key,
+        axes=dict(axes or {}),
+        settings=settings.as_dict(),
+    )
+    cell = _PreparedCell(scenario, settings, record)
+    start = time.perf_counter()
+    try:
+        if settings.architecture == "mesh":
+            with _stage(record, "route"):
+                topology, table, deadlock_report = baseline_route_stage(scenario, settings)
+                _apply_deadlock_gate(record, settings, deadlock_report)
+        else:
+            architecture = _synthesize_custom(
+                scenario, settings, record, _stage_context(context)
+            )
+            topology, table = architecture.topology, architecture.routing_table
+        cell.routing = table.frozen_next_hop()
+        cell.topology, cell.table = topology, table
+    except ReproError as error:
+        _assign_failure(record, error)
+    record.runtime_seconds = time.perf_counter() - start
+    return cell
+
+
+def _score(record: EvaluationRecord, metrics: ArchitectureMetrics, topology: Topology) -> None:
+    """The timed score stage: fold measured metrics into the record."""
+    with _stage(record, "score"):
+        record.metrics.update(score_stage(metrics, topology))
 
 
 def evaluate(
@@ -1041,7 +1179,7 @@ def evaluate(
     cache_key: str = "",
     config_label: str = "",
     axes: dict[str, object] | None = None,
-    context: "object | None" = None,
+    context: StageContext | None = None,
 ) -> EvaluationRecord:
     """Run the full pipeline for one (scenario, configuration) cell.
 
@@ -1055,55 +1193,26 @@ def evaluate(
     cell sharing the respective stage sub-key instead of being recomputed.
     """
     settings = scenario.effective_settings(settings)
-    record = EvaluationRecord(
-        scenario=scenario.name,
-        architecture=settings.architecture,
-        config_label=config_label or settings.architecture,
-        cache_key=cache_key,
-        axes=dict(axes or {}),
-        settings=settings.as_dict(),
-    )
-    start = time.perf_counter()
     with get_tracer().span(
         "dse.evaluate",
         scenario=scenario.name,
         architecture=settings.architecture,
-        config=record.config_label,
+        config=config_label or settings.architecture,
     ) as span:
-        try:
-            if settings.architecture == "mesh":
-                with _stage(record, "route"):
-                    fabric, table, deadlock_report = baseline_route_stage(scenario, settings)
-                    _apply_deadlock_gate(record, settings, deadlock_report)
-                topology: Topology = fabric
-                routing: RoutingFunction = table.frozen_next_hop()
-                name = fabric.name
-            else:
-                architecture = _synthesize_custom(scenario, settings, record, context)
-                topology = architecture.topology
-                routing = architecture.routing_table.frozen_next_hop()
-                name = architecture.topology.name
-            with _stage(record, "simulate"):
-                metrics = simulate_stage(scenario, settings, name, topology, routing)
-            with _stage(record, "score"):
-                record.metrics.update(score_stage(metrics, topology))
-        except DecompositionError as error:
-            record.status = STATUS_DECOMPOSITION_FAILED
-            record.error = str(error)
-        except SynthesisError as error:
-            record.status = STATUS_SYNTHESIS_FAILED
-            record.error = str(error)
-        except RoutingError as error:
-            record.status = STATUS_ROUTING_FAILED
-            record.error = str(error)
-        except SimulationError as error:
-            record.status = STATUS_SIMULATION_FAILED
-            record.error = str(error)
-        # any other ReproError (ConfigurationError, WorkloadError, unknown
-        # technology, ...) is a caller bug, not an exploration outcome: let it
-        # raise rather than poison the result cache with mislabeled failures
+        cell = _prepare_cell(scenario, settings, cache_key, config_label, axes, context)
+        record = cell.record
+        if cell.routing is not None:
+            start = time.perf_counter()
+            try:
+                with _stage(record, "simulate"):
+                    metrics = simulate_stage(
+                        scenario, settings, cell.topology.name, cell.topology, cell.routing
+                    )
+                _score(record, metrics, cell.topology)
+            except ReproError as error:
+                _assign_failure(record, error)
+            record.runtime_seconds += time.perf_counter() - start
         span.annotate(status=record.status)
-    record.runtime_seconds = time.perf_counter() - start
     return record
 
 
@@ -1120,41 +1229,6 @@ def axis_label(axes: Mapping[str, object]) -> str:
 #: cells per batch-simulator call; a stage group larger than this is
 #: chunked, so the last chunk may be ragged (fewer cells than the cap)
 MAX_BATCH_CELLS = 16
-
-#: exception type -> record status, in match order (DeadlockError is a
-#: RoutingError; anything unlisted is a caller bug and keeps raising)
-_FAILURE_STATUSES: tuple[tuple[type, str], ...] = (
-    (DecompositionError, STATUS_DECOMPOSITION_FAILED),
-    (SynthesisError, STATUS_SYNTHESIS_FAILED),
-    (RoutingError, STATUS_ROUTING_FAILED),
-    (SimulationError, STATUS_SIMULATION_FAILED),
-)
-
-
-def _assign_failure(record: EvaluationRecord, error: Exception) -> None:
-    """Map a pipeline exception onto the record statuses (or re-raise)."""
-    for exception_type, status in _FAILURE_STATUSES:
-        if isinstance(error, exception_type):
-            record.status = status
-            record.error = str(error)
-            return
-    raise error
-
-
-@dataclass
-class _BatchCell:
-    """One batch-eligible cell between its prep and simulate phases."""
-
-    index: int
-    scenario: Scenario
-    settings: EvaluationSettings
-    record: EvaluationRecord
-    prep_seconds: float
-    done: bool = False
-    topology: Topology | None = None
-    routing: RoutingFunction | None = None
-    name: str = ""
-    group_key: object = None
 
 
 def _batch_group_key(topology: Topology, table: RoutingTable) -> object:
@@ -1174,105 +1248,22 @@ def _batch_group_key(topology: Topology, table: RoutingTable) -> object:
     return (signature, table.version, entries)
 
 
-def _prepare_batch_cell(
-    index: int,
-    scenario: Scenario,
-    settings: EvaluationSettings,
-    axes: dict[str, object] | None,
-    key: str,
-    context: "object | None",
-) -> _BatchCell:
-    """Run one batch-eligible cell's pipeline up to (not including) simulate.
-
-    Mirrors :func:`evaluate` stage for stage — same stage timings, stage
-    reuse markers, deadlock gate and failure statuses — and returns the
-    routed fabric so compatible cells can be grouped into one simulator.
-    """
-    settings = scenario.effective_settings(settings)
-    record = EvaluationRecord(
-        scenario=scenario.name,
-        architecture=settings.architecture,
-        config_label=axis_label(axes or {}),
-        cache_key=key,
-        axes=dict(axes or {}),
-        settings=settings.as_dict(),
-    )
-    start = time.perf_counter()
-    try:
-        if settings.architecture == "mesh":
-            with _stage(record, "route"):
-                fabric, table, deadlock_report = baseline_route_stage(scenario, settings)
-                _apply_deadlock_gate(record, settings, deadlock_report)
-            topology: Topology = fabric
-            name = fabric.name
-        else:
-            architecture = _synthesize_custom(scenario, settings, record, context)
-            topology = architecture.topology
-            table = architecture.routing_table
-            name = architecture.topology.name
-        routing = table.frozen_next_hop()
-    except (DecompositionError, SynthesisError, RoutingError, SimulationError) as error:
-        _assign_failure(record, error)
-        record.runtime_seconds = time.perf_counter() - start
-        return _BatchCell(
-            index=index,
-            scenario=scenario,
-            settings=settings,
-            record=record,
-            prep_seconds=record.runtime_seconds,
-            done=True,
-        )
-    return _BatchCell(
-        index=index,
-        scenario=scenario,
-        settings=settings,
-        record=record,
-        prep_seconds=time.perf_counter() - start,
-        topology=topology,
-        routing=routing,
-        name=name,
-        group_key=_batch_group_key(topology, table),
-    )
-
-
 def _batch_ops(
-    scenario: Scenario, ops_cache: dict[int, list[object]]
-) -> list[object]:
-    """The scenario's traffic as a batch op program (cached per scenario).
+    scenario: Scenario, ops_cache: dict[int, list[TrafficOp]]
+) -> list[TrafficOp]:
+    """The scenario's traffic program, built once per scenario per call.
 
-    Replays exactly what the per-cell traffic modes do: per ACG repetition
-    one schedule + drain, or per AES phase one schedule + drain + the
-    computation allowance.  The program (including the Python-AES phase
-    traces) is shared by every cell driving the same scenario in a batch.
+    The program (including the Python-AES phase traces) is shared by every
+    cell driving the same scenario in a batch.
     """
     ops = ops_cache.get(id(scenario))
-    if ops is not None:
-        return ops
-    ops = []
-    if scenario.traffic == TRAFFIC_ACG:
-        messages = tuple(
-            acg_messages(scenario.acg, packet_size_bits=scenario.packet_size_bits)
-        )
-        for _ in range(scenario.repetitions):
-            ops.append(ScheduleOp(messages))
-            ops.append(DrainOp(None))
-    else:  # TRAFFIC_AES_PHASES (eligibility is checked by the caller)
-        aes = DistributedAES(FIPS197_KEY)
-        plaintext = bytes(range(16))
-        for block_index in range(scenario.aes_blocks):
-            block = bytes((byte + block_index) % 256 for byte in plaintext)
-            trace = aes.encrypt_block(block)
-            for phase in trace.phases:
-                ops.append(ScheduleOp(tuple(phase)))
-                ops.append(DrainOp(None))
-                if scenario.computation_cycles_per_phase:
-                    ops.append(RunOp(scenario.computation_cycles_per_phase))
-    ops_cache[id(scenario)] = ops
+    if ops is None:
+        ops = ops_cache[id(scenario)] = _scenario_program(scenario)
     return ops
 
 
 def _simulate_batch_chunk(
-    chunk: list[_BatchCell], ops_cache: dict[int, list[object]]
+    chunk: list[_PreparedCell], ops_cache: dict[int, list[TrafficOp]]
 ) -> None:
     """Simulate one group chunk in a single multi-cell batch call.
 
@@ -1285,7 +1276,6 @@ def _simulate_batch_chunk(
     """
     first = chunk[0]
     start = time.perf_counter()
-    share = 0.0
     probes: list[SimulatorProbe | None] = [None] * len(chunk)
     capture = get_session().capture_probes
     try:
@@ -1307,57 +1297,45 @@ def _simulate_batch_chunk(
         for cell in chunk:
             _assign_failure(cell.record, error)
             cell.record.stage_seconds["simulate"] = share
-            cell.record.runtime_seconds = cell.prep_seconds + share
+            cell.record.runtime_seconds += share
         return
     share = (time.perf_counter() - start) / len(chunk)
     for position, cell in enumerate(chunk):
         record = cell.record
         record.stage_seconds["simulate"] = share
         record.stage_reuse["simulate"] = f"batch:{len(chunk)}"
+        record.runtime_seconds += share
         error = core.error(position)
         if error is not None:
             _assign_failure(record, error)
-            record.runtime_seconds = cell.prep_seconds + share
             continue
         metrics = _metrics_from_state(
-            cell.name,
+            cell.topology.name,
             cell.topology,
             cell.settings.build_technology(),
             core.statistics(position),
             core.energy(position),
             engine=ENGINE_BATCH,
             cycles_stepped=core.cycles_stepped(position),
-            iterations=(
-                cell.scenario.aes_blocks
-                if cell.scenario.traffic == TRAFFIC_AES_PHASES
-                else cell.scenario.repetitions
-            ),
+            iterations=_iterations(cell.scenario),
             aes_blocks=cell.scenario.traffic == TRAFFIC_AES_PHASES,
         )
-        probe = probes[position]
-        if probe is not None:
-            session_metrics = get_session().metrics
-            if session_metrics is not None:
-                probe.emit_metrics(
-                    session_metrics, core.statistics(position), architecture=cell.name
-                )
-        with _stage(record, "score"):
-            record.metrics.update(score_stage(metrics, cell.topology))
-        record.runtime_seconds = (
-            cell.prep_seconds + share + record.stage_seconds.get("score", 0.0)
-        )
+        _flush_probe(probes[position], core.statistics(position), cell.topology.name)
+        _score(record, metrics, cell.topology)
+        record.runtime_seconds += record.stage_seconds["score"]
 
 
 def evaluate_cells(
     cell_payloads: Sequence[tuple[Scenario, EvaluationSettings, dict[str, object], str]],
-    context: "object | None" = None,
+    context: StageContext | None = None,
 ) -> list[EvaluationRecord]:
     """Evaluate a sequence of sweep cells, batching compatible batch cells.
 
     The drop-in plural of :func:`evaluate`: records come back in payload
-    order with identical content.  Cells whose effective engine is
-    ``"batch"`` (and whose traffic mode is one of the built-ins the op
-    programs cover) are prepared up to the simulate stage, grouped by
+    order with identical content.  Every cell is prepared by the same code
+    as a solo :func:`evaluate`; cells whose effective engine is ``"batch"``
+    (and whose traffic mode is one of the built-ins the op programs cover)
+    then stop before the simulate stage, are grouped by
     :func:`_batch_group_key` — same topology signature, same routing-table
     version and entries — chunked to :data:`MAX_BATCH_CELLS`, and simulated
     in one :class:`~repro.noc.batch.BatchSimulator` call per chunk.  Every
@@ -1369,35 +1347,21 @@ def evaluate_cells(
     attributed share of the batch wall time) and the
     ``stage_reuse["simulate"] = "batch:n"`` marker.
     """
-    records: list[EvaluationRecord | None] = [None] * len(cell_payloads)
-    batchable: list[_BatchCell] = []
-    for index, (scenario, settings, axes, key) in enumerate(cell_payloads):
-        effective = scenario.effective_settings(settings)
-        if effective.engine == ENGINE_BATCH and scenario.traffic in (
-            TRAFFIC_ACG,
-            TRAFFIC_AES_PHASES,
+    records: list[EvaluationRecord] = []
+    groups: dict[object, list[_PreparedCell]] = {}
+    for scenario, settings, axes, key in cell_payloads:
+        label = axis_label(axes)
+        if scenario.effective_settings(settings).engine != ENGINE_BATCH or (
+            scenario.traffic not in (TRAFFIC_ACG, TRAFFIC_AES_PHASES)
         ):
-            prepared = _prepare_batch_cell(index, scenario, settings, axes, key, context)
-            if prepared.done:
-                records[index] = prepared.record
-            else:
-                batchable.append(prepared)
-        else:
-            records[index] = evaluate(
-                scenario,
-                settings,
-                cache_key=key,
-                config_label=axis_label(axes),
-                axes=axes,
-                context=context,
-            )
-    groups: dict[object, list[_BatchCell]] = {}
-    for prepared in batchable:
-        groups.setdefault(prepared.group_key, []).append(prepared)
-    ops_cache: dict[int, list[object]] = {}
+            records.append(evaluate(scenario, settings, key, label, axes, context))
+            continue
+        cell = _prepare_cell(scenario, settings, key, label, axes, context)
+        records.append(cell.record)
+        if cell.routing is not None:
+            groups.setdefault(_batch_group_key(cell.topology, cell.table), []).append(cell)
+    ops_cache: dict[int, list[TrafficOp]] = {}
     for group in groups.values():
         for offset in range(0, len(group), MAX_BATCH_CELLS):
             _simulate_batch_chunk(group[offset : offset + MAX_BATCH_CELLS], ops_cache)
-    for prepared in batchable:
-        records[prepared.index] = prepared.record
     return records

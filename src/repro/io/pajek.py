@@ -12,8 +12,7 @@ Repro extends it backward-compatibly:
   (written only when some edge has a non-zero bandwidth);
 * topology arcs carry ``length_mm width_bits bandwidth`` columns.
 
-Legacy behaviour of :func:`repro.workloads.pajek.read_pajek` is
-preserved: ``*Edges`` sections are read as bidirectional arcs, ``%``
+Plain-Pajek conventions hold: ``*Edges`` sections are read as bidirectional arcs, ``%``
 comment lines are skipped, and an arc line with fewer than two fields
 raises :class:`~repro.exceptions.WorkloadError`.
 """

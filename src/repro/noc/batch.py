@@ -175,11 +175,6 @@ class BatchSimulator:
         self._routing = routing
         if not configs:
             raise SimulationError("a batch needs at least one cell")
-        for config in configs:
-            if config.buffer_capacity_packets < 1:
-                raise SimulationError("router buffers must hold at least one packet")
-            if config.router_pipeline_delay_cycles < 1:
-                raise SimulationError("router pipeline delay must be at least one cycle")
         if technologies is None:
             technologies = [DEFAULT_TECHNOLOGY] * len(configs)
         if len(technologies) != len(configs):

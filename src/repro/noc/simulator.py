@@ -95,6 +95,10 @@ class SimulatorConfig:
             raise SimulationError(
                 f"unknown simulator engine {self.engine!r} (use one of {ENGINES})"
             )
+        if self.buffer_capacity_packets < 1:
+            raise SimulationError("router buffers must hold at least one packet")
+        if self.router_pipeline_delay_cycles < 1:
+            raise SimulationError("router pipeline delay must be at least one cycle")
 
 
 class NoCSimulator:

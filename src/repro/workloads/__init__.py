@@ -21,8 +21,6 @@ from repro.workloads.pajek import (
     erdos_renyi_acg,
     pajek_benchmark_suite,
     planted_primitive_acg,
-    read_pajek,
-    write_pajek,
 )
 from repro.workloads.random_acg import (
     degree_sequence_acg,
@@ -49,8 +47,6 @@ __all__ = [
     "erdos_renyi_acg",
     "planted_primitive_acg",
     "pajek_benchmark_suite",
-    "read_pajek",
-    "write_pajek",
     "figure5_example_acg",
     "figure2_example_graph",
     "random_decomposable_acg",

@@ -66,7 +66,7 @@ class TestConstraintChecker:
         report = ConstraintChecker(DesignConstraints()).check(line_topology, line_table, acg)
         assert report.satisfied
         assert report.violations == []
-        assert report.bisection_bandwidth is not None
+        assert report.bisection_bandwidth is None  # only computed under a limit
         report.raise_if_violated()  # no exception
         assert "satisfied" in report.describe()
 
@@ -89,6 +89,7 @@ class TestConstraintChecker:
         constraints = DesignConstraints(max_bisection_bandwidth=10.0)
         report = ConstraintChecker(constraints).check(line_topology, line_table, acg)
         assert not report.satisfied
+        assert report.bisection_bandwidth == pytest.approx(64.0)  # one duplex cut
         assert any("bisection" in violation for violation in report.violations)
 
     def test_router_degree_limit(self, line_topology, line_table):

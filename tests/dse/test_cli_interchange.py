@@ -111,3 +111,41 @@ class TestFileSuites:
         assert main(["list-scenarios", "--suite",
                      f"{FILE_SUITE_PREFIX}{workload_file}"]) == 0
         assert "workload" in capsys.readouterr().out
+
+
+class TestCliMisuse:
+    """Caller errors exit non-zero with one ``error:`` line, no traceback."""
+
+    @staticmethod
+    def _one_error_line(capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_missing_trace_log(self, tmp_path, capsys):
+        assert main(["trace", str(tmp_path / "missing.jsonl")]) != 0
+        assert "missing.jsonl" in self._one_error_line(capsys)
+
+    def test_missing_file_suite(self, tmp_path, capsys):
+        results = tmp_path / "results.jsonl"
+        assert main([
+            "run", "--suite", f"{FILE_SUITE_PREFIX}{tmp_path / 'missing.net'}",
+            "--results", str(results),
+        ]) != 0
+        assert "missing.net" in self._one_error_line(capsys)
+        assert not results.exists()
+
+    @pytest.mark.parametrize(
+        "axis", ["buffer_capacity_packets=0", "router_pipeline_delay_cycles=0"]
+    )
+    def test_invalid_simulator_axis_rejected_before_any_evaluation(
+        self, axis, tmp_path, capsys
+    ):
+        results = tmp_path / "results.jsonl"
+        assert main([
+            "run", "--suite", "smoke", "--axis", axis, "--results", str(results),
+        ]) != 0
+        self._one_error_line(capsys)
+        assert not results.exists()

@@ -41,6 +41,15 @@ class TestGridExpansion:
         with pytest.raises(ConfigurationError):
             expand_grid(axes={"architecture": ()})
 
+    @pytest.mark.parametrize(
+        "field", ["buffer_capacity_packets", "router_pipeline_delay_cycles"]
+    )
+    def test_invalid_simulator_knob_rejected_at_plan_time(self, field):
+        with pytest.raises(ConfigurationError):
+            expand_grid(axes={field: (2, 0)})
+        with pytest.raises(ConfigurationError):
+            EvaluationSettings().merged({field: 0})  # the search rung override path
+
 
 class TestCacheKey:
     def test_key_stable_for_equal_content(self):

@@ -33,6 +33,23 @@ class TestStageTimings:
         }
         assert all(seconds >= 0.0 for seconds in record.stage_seconds.values())
 
+    def test_context_cell_times_synthesize_and_route_separately(self, smoke_scenarios):
+        from repro.dse.cache import StageContext
+
+        context = StageContext()
+        settings = EvaluationSettings(architecture="custom")
+        built = evaluate(smoke_scenarios[0], settings, context=context)
+        assert set(built.stage_seconds) == {
+            "decompose", "synthesize", "route", "simulate", "score"
+        }
+        # a synthesis-memo hit pays only the lookup, booked as synthesize
+        reused = evaluate(
+            smoke_scenarios[0], settings.merged({"buffer_capacity_packets": 8}),
+            context=context,
+        )
+        assert reused.stage_reuse["synthesize"] == "memory"
+        assert set(reused.stage_seconds) == {"decompose", "synthesize", "simulate", "score"}
+
     def test_mesh_cell_records_route_simulate_score(self, smoke_scenarios):
         record = evaluate(smoke_scenarios[0], EvaluationSettings(architecture="mesh"))
         assert record.succeeded

@@ -1,7 +1,7 @@
 """Property tests: Pajek round-trips preserve graph content (satellite 2).
 
-Hypothesis drives ``read_pajek(write_pajek(acg))`` — through the
-canonical :mod:`repro.io` pajek format — over generated ACGs with
+Hypothesis drives ``read_workload(write_workload(acg, fmt="pajek"))``
+through the canonical :mod:`repro.io` pajek format over generated ACGs with
 adversarial node names, float volumes/bandwidths and partial floorplans,
 asserting node names, the directed edge set, traffic weights and
 positions all survive.  The published embedded ACGs are asserted too,
@@ -96,16 +96,3 @@ def test_dot_roundtrip_preserves_content(acg, tmp_path):
 def test_published_embedded_acgs_roundtrip(bench_name, tmp_path):
     acg = embedded_benchmark_acg(bench_name)
     assert _content(_roundtrip(acg, "pajek", tmp_path)) == _content(acg)
-
-
-def test_legacy_shim_matches_canonical_reader(tmp_path):
-    """repro.workloads.read_pajek (deprecated) returns the same graph."""
-    from repro.workloads import read_pajek, write_pajek
-
-    acg = embedded_benchmark_acg(embedded_benchmark_names()[0])
-    path = tmp_path / "legacy.net"
-    with pytest.deprecated_call():
-        write_pajek(acg, path)
-    with pytest.deprecated_call():
-        legacy = read_pajek(path)
-    assert _content(legacy) == _content(read_workload(path))

@@ -62,11 +62,7 @@ class TestFacadeSurface:
         import repro.api as api
 
         for name in api.__all__:
-            if name in api._DEPRECATED:
-                with pytest.deprecated_call():
-                    assert getattr(api, name) is not None
-            else:
-                assert getattr(api, name) is not None, name
+            assert getattr(api, name) is not None, name
 
     def test_dir_covers_all(self):
         import repro.api as api
@@ -92,17 +88,6 @@ class TestFacadeSurface:
         acg = api.ApplicationGraph.from_traffic({(1, 2): 128, (2, 3): 64})
         result = api.decompose(acg, api.default_library())
         assert result is not None
-
-    def test_deprecated_pajek_shims_work(self, tmp_path):
-        from repro import api
-
-        acg = api.ApplicationGraph.from_traffic({("a", "b"): 16.0})
-        path = tmp_path / "g.net"
-        with pytest.deprecated_call():
-            api.write_pajek(acg, path, fmt="pajek")
-        with pytest.deprecated_call():
-            back = api.read_pajek(path, fmt="pajek")
-        assert back.volume("a", "b") == 16.0
 
     def test_registries_reachable(self):
         from repro import api

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.graph import ApplicationGraph
 from repro.exceptions import WorkloadError
+from repro.io import read_workload, write_workload
 from repro.workloads.acg_builder import (
     acg_from_task_graph,
     acg_from_traffic_table,
@@ -16,8 +17,6 @@ from repro.workloads.pajek import (
     erdos_renyi_acg,
     pajek_benchmark_suite,
     planted_primitive_acg,
-    read_pajek,
-    write_pajek,
 )
 from repro.workloads.random_acg import (
     figure2_example_graph,
@@ -134,8 +133,8 @@ class TestPajekGenerators:
     def test_pajek_round_trip(self, tmp_path):
         acg = erdos_renyi_acg(8, 0.3, seed=7)
         path = tmp_path / "graph.net"
-        write_pajek(acg, path)
-        loaded = read_pajek(path)
+        write_workload(acg, path, fmt="pajek")
+        loaded = read_workload(path, fmt="pajek")
         assert loaded.num_nodes == acg.num_nodes
         assert loaded.num_edges == acg.num_edges
         original_edges = {(str(s), str(t)) for s, t in acg.edges()}
@@ -147,14 +146,14 @@ class TestPajekGenerators:
     def test_read_pajek_edges_section_is_bidirectional(self, tmp_path):
         path = tmp_path / "undirected.net"
         path.write_text('*Vertices 2\n1 "a"\n2 "b"\n*Edges\n1 2 5\n', encoding="utf-8")
-        acg = read_pajek(path)
+        acg = read_workload(path, fmt="pajek")
         assert acg.has_edge("a", "b") and acg.has_edge("b", "a")
 
     def test_read_pajek_malformed_arc(self, tmp_path):
         path = tmp_path / "broken.net"
         path.write_text("*Vertices 1\n1 \"a\"\n*Arcs\n1\n", encoding="utf-8")
         with pytest.raises(WorkloadError):
-            read_pajek(path)
+            read_workload(path, fmt="pajek")
 
 
 class TestCuratedAcgs:
