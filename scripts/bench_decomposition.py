@@ -183,6 +183,14 @@ def run_benchmark() -> dict[str, object]:
             "candidate_nodes": sum(
                 row[f"{CANDIDATE_BOUND}_nodes"] for row in per_graph if row["suite"] == suite
             ),
+            "baseline_wall_s": round(
+                sum(row[f"{BASELINE_BOUND}_wall_s"] for row in per_graph if row["suite"] == suite),
+                3,
+            ),
+            "candidate_wall_s": round(
+                sum(row[f"{CANDIDATE_BOUND}_wall_s"] for row in per_graph if row["suite"] == suite),
+                3,
+            ),
         }
         for suite in suites
     }
@@ -249,17 +257,19 @@ def write_job_summary(result: dict[str, object]) -> None:
     lines = [
         "### Decomposition bounds: stacked exact bounds vs legacy coarse bound",
         "",
-        "| suite | graphs | legacy nodes | stacked nodes | saving |",
-        "|---|---|---|---|---|",
+        "| suite | graphs | legacy nodes | stacked nodes | saving | legacy wall | stacked wall |",
+        "|---|---|---|---|---|---|---|",
     ]
     for suite, stats in result["per_suite"].items():
         lines.append(
             f"| {suite} | {stats['graphs']} | {stats['baseline_nodes']} | "
-            f"{stats['candidate_nodes']} | {stats['saving']:.2f}x |"
+            f"{stats['candidate_nodes']} | {stats['saving']:.2f}x | "
+            f"{stats['baseline_wall_s']:.2f} s | {stats['candidate_wall_s']:.2f} s |"
         )
     lines += [
         f"| **all (geomean)** | {result['graphs']} | {result['baseline_nodes']} | "
-        f"{result['candidate_nodes']} | **{result['nodes_saving_factor']:.2f}x** |",
+        f"{result['candidate_nodes']} | **{result['nodes_saving_factor']:.2f}x** | "
+        f"{result['baseline_wall_seconds']:.2f} s | {result['candidate_wall_seconds']:.2f} s |",
         "",
         "Parity (bit-identical decompositions): {parity}; tight-budget "
         "({tight} vs {full} nodes) quality: {quality}.".format(
@@ -297,7 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     for suite, stats in result["per_suite"].items():
         print(
             f"{suite}: {stats['graphs']} graphs, nodes {stats['baseline_nodes']} -> "
-            f"{stats['candidate_nodes']} ({stats['saving']:.2f}x)"
+            f"{stats['candidate_nodes']} ({stats['saving']:.2f}x), wall "
+            f"{stats['baseline_wall_s']:.2f}s -> {stats['candidate_wall_s']:.2f}s"
         )
     print(
         f"saving: {result['nodes_saving_factor']:.2f}x fewer nodes (geomean over "

@@ -108,6 +108,9 @@ class BisectionResult:
     partition_a: frozenset
     partition_b: frozenset
     num_cut_channels: int
+    exact: bool
+    """True when every balanced bipartition was enumerated (at most
+    ``exact_limit`` routers); False for the coordinate-sweep estimate."""
 
 
 def bisection_bandwidth(topology: Topology, exact_limit: int = 16) -> BisectionResult:
@@ -145,6 +148,7 @@ def bisection_bandwidth(topology: Topology, exact_limit: int = 16) -> BisectionR
                     partition_a=frozenset(part_a),
                     partition_b=frozenset(set(routers) - part_a),
                     num_cut_channels=cut_channels,
+                    exact=True,
                 )
         assert best is not None
         return best
@@ -165,6 +169,7 @@ def bisection_bandwidth(topology: Topology, exact_limit: int = 16) -> BisectionR
                 partition_a=frozenset(part_a),
                 partition_b=frozenset(set(routers) - part_a),
                 num_cut_channels=cut_channels,
+                exact=False,
             )
     assert best is not None
     return best

@@ -159,7 +159,7 @@ class BoundTables:
 
 def _paired_degree(graph: DiGraph, node: Node) -> int:
     """Number of full-duplex partners of ``node`` (mutual edge pairs)."""
-    return sum(1 for other in graph.successors(node) if graph.has_edge(other, node))
+    return len(graph.successor_map(node).keys() & graph.predecessor_map(node).keys())
 
 
 def _dual_price_candidates(
@@ -384,41 +384,68 @@ class CheapestEdgeBound(ResidualBound):
         self._tables = tables
         self._cost_model = cost_model
         self._acg = acg
+        # (is_bidirectional, source degrees, target degrees) -> what the
+        # feasible offers charge: their cheapest flat share (``None`` when
+        # no flat offer is feasible) and the distinct hop counts of the
+        # feasible non-flat ones.  Feasibility depends on nothing else, and
+        # a search meets far fewer such keys than it charges residual edges.
+        self._offer_memo: dict[
+            tuple[bool, tuple[int, int, int], tuple[int, int, int]],
+            tuple[float | None, tuple[int, ...]],
+        ] = {}
+
+    def _feasible_charges(
+        self,
+        is_bidirectional: bool,
+        source_degrees: tuple[int, int, int],
+        target_degrees: tuple[int, int, int],
+    ) -> tuple[float | None, tuple[int, ...]]:
+        """Scan the offer table once for one memo key (see ``_offer_memo``)."""
+        share: float | None = None
+        hops: dict[int, None] = {}
+        for offer in self._tables.offers:
+            if not offer.feasible(is_bidirectional, source_degrees, target_degrees):
+                continue
+            if offer.flat_share is None:
+                hops[offer.hops] = None
+            elif share is None or offer.flat_share < share:
+                share = offer.flat_share
+        return share, tuple(hops)
 
     def _compute(self, residual: DiGraph) -> float:
         cost_model = self._cost_model
         acg = self._acg
-        offers = self._tables.offers
+        memo = self._offer_memo
         degrees: dict[Node, tuple[int, int, int]] = {}
-
-        def degrees_of(node: Node) -> tuple[int, int, int]:
-            cached = degrees.get(node)
-            if cached is None:
-                cached = (
-                    residual.out_degree(node),
-                    residual.in_degree(node),
-                    _paired_degree(residual, node),
+        sources = []
+        for node, outgoing, incoming in residual.adjacency():
+            if outgoing or incoming:
+                degrees[node] = (
+                    len(outgoing),
+                    len(incoming),
+                    len(outgoing.keys() & incoming.keys()),
                 )
-                degrees[node] = cached
-            return cached
+                if outgoing:
+                    sources.append((node, outgoing, incoming))
 
         total = 0.0
-        for source, target in residual.edges():
-            edge = (source, target)
-            is_bidirectional = residual.has_edge(target, source)
-            source_degrees = degrees_of(source)
-            target_degrees = degrees_of(target)
-            cheapest = cost_model.edge_remainder_cost(acg, edge)
-            for offer in offers:
-                if not offer.feasible(is_bidirectional, source_degrees, target_degrees):
-                    continue
-                if offer.flat_share is not None:
-                    charge = offer.flat_share
-                else:
-                    charge = cost_model.edge_cover_cost(acg, edge, offer.hops)
-                if charge < cheapest:
-                    cheapest = charge
-            total += cheapest
+        for source, outgoing, incoming in sources:
+            source_degrees = degrees[source]
+            for target in outgoing:
+                key = (target in incoming, source_degrees, degrees[target])
+                charges = memo.get(key)
+                if charges is None:
+                    charges = memo[key] = self._feasible_charges(*key)
+                share, hops = charges
+                edge = (source, target)
+                cheapest = cost_model.edge_remainder_cost(acg, edge)
+                if share is not None and share < cheapest:
+                    cheapest = share
+                for hop_count in hops:
+                    charge = cost_model.edge_cover_cost(acg, edge, hop_count)
+                    if charge < cheapest:
+                        cheapest = charge
+                total += cheapest
         return total
 
 

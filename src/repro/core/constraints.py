@@ -65,6 +65,10 @@ class ConstraintReport:
     bisection_bandwidth: float | None = None
     """Only computed under a ``max_bisection_bandwidth`` limit; ``None``
     otherwise (and for single-router topologies)."""
+    bisection_exact: bool | None = None
+    """Whether ``bisection_bandwidth`` is the exact minimum (every balanced
+    bipartition enumerated) or the coordinate-sweep estimate used above 16
+    routers; ``None`` when it was not computed."""
     max_router_degree: int = 0
 
     def raise_if_violated(self) -> None:
@@ -158,9 +162,12 @@ class ConstraintChecker:
         # 3. wiring resources via bisection bandwidth (exponential in the
         # router count, so only computed when a limit asks for it)
         bisection = None
+        bisection_exact = None
         limit = self.constraints.max_bisection_bandwidth
         if limit is not None and topology.num_routers >= 2:
-            bisection = bisection_bandwidth(topology).bandwidth_bits_per_cycle
+            result = bisection_bandwidth(topology)
+            bisection = result.bandwidth_bits_per_cycle
+            bisection_exact = result.exact
             if bisection > limit + 1e-9:
                 violations.append(
                     f"bisection bandwidth {bisection:g} exceeds the technology limit "
@@ -183,5 +190,6 @@ class ConstraintChecker:
             violations=violations,
             channel_loads=loads,
             bisection_bandwidth=bisection,
+            bisection_exact=bisection_exact,
             max_router_degree=max_degree,
         )

@@ -104,12 +104,29 @@ class DiGraph:
         return graph
 
     def copy(self) -> "DiGraph":
-        """Return a deep structural copy (attribute dicts are shallow-copied)."""
+        """Return a deep structural copy (attribute dicts are shallow-copied).
+
+        The adjacency dicts are built directly rather than replayed through
+        :meth:`add_node`/:meth:`add_edge` (the decomposition copies a residual
+        at every search node), with the iteration order a replay would give:
+        nodes and successors as in ``self``, predecessors source-major.  Each
+        edge gets one fresh attribute dict, shared by its succ and pred entry.
+        """
         clone = type(self)(name=self.name)
-        for node, attrs in self._node_attrs.items():
-            clone.add_node(node, **dict(attrs))
-        for source, target, attrs in self.edges(data=True):
-            clone.add_edge(source, target, **dict(attrs))
+        succ: dict[Node, dict[Node, dict[str, Any]]] = {}
+        pred: dict[Node, dict[Node, dict[str, Any]]] = {node: {} for node in self._succ}
+        for source, targets in self._succ.items():
+            row = {}
+            for target, attrs in targets.items():
+                row[target] = pred[target][source] = attrs.copy()
+            succ[source] = row
+        clone._succ = succ
+        clone._pred = pred
+        clone._node_attrs = {node: attrs.copy() for node, attrs in self._node_attrs.items()}
+        clone._num_edges = self._num_edges
+        clone._out_degree = self._out_degree.copy()
+        clone._in_degree = self._in_degree.copy()
+        clone._edge_fingerprint = self._edge_fingerprint
         return clone
 
     # ------------------------------------------------------------------
@@ -291,6 +308,18 @@ class DiGraph:
         if node not in self._pred:
             raise NodeNotFoundError(node)
         return self._pred[node]
+
+    def adjacency(
+        self,
+    ) -> Iterator[tuple[Node, Mapping[Node, dict[str, Any]], Mapping[Node, dict[str, Any]]]]:
+        """``(node, successor map, predecessor map)`` for every node, in node order.
+
+        The bulk form of :meth:`successor_map`/:meth:`predecessor_map` (treat
+        the maps as read-only) for hot loops that visit every node, such as
+        the residual lower bounds.  ``_succ`` and ``_pred`` always hold the
+        nodes in the same order, so the two maps can be paired positionally.
+        """
+        return zip(self._succ, self._succ.values(), self._pred.values())
 
     def out_degree(self, node: Node) -> int:
         """Number of outgoing edges of ``node`` (O(1))."""

@@ -200,16 +200,20 @@ class VF2Matcher:
             self._deadline = None
 
         seen_edge_sets: set[frozenset[Edge]] = set()
+        pattern_edges = self.pattern.edges()
         produced = 0
         try:
             for mapping in self._extend({}, set()):
-                candidate = IsomorphismMapping.from_dict(mapping)
                 if self.options.deduplicate_by_edges:
-                    edge_set = candidate.covered_edges(self.pattern)
+                    # the covered edge set, read off the raw mapping so a
+                    # duplicate costs no canonical IsomorphismMapping
+                    edge_set = frozenset(
+                        (mapping[source], mapping[target]) for source, target in pattern_edges
+                    )
                     if edge_set in seen_edge_sets:
                         continue
                     seen_edge_sets.add(edge_set)
-                yield candidate
+                yield IsomorphismMapping.from_dict(mapping)
                 produced += 1
                 if limit is not None and produced >= limit:
                     return
@@ -298,6 +302,12 @@ class VF2Matcher:
             return False
         if self.target.in_degree(target_node) < self.pattern.in_degree(pattern_node):
             return False
+
+        # A monomorphism needs no edge checks: _candidate_targets already
+        # kept only nodes adjacent, in both directions the pattern asks for,
+        # to the image of every mapped pattern neighbour.
+        if not self.options.induced:
+            return True
 
         for mapped_pattern, mapped_target in mapping.items():
             forward_pattern = self.pattern.has_edge(pattern_node, mapped_pattern)

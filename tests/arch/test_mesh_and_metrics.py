@@ -123,6 +123,16 @@ class TestMetrics:
         result = bisection_bandwidth(mesh, exact_limit=16)
         assert result.bandwidth_bits_per_cycle > 0
 
+    def test_bisection_is_exact_up_to_sixteen_routers(self, mesh_4x4):
+        assert bisection_bandwidth(mesh_4x4).exact
+
+    def test_bisection_is_labelled_heuristic_above_sixteen_routers(self):
+        line = build_mesh(1, 17)
+        assert line.num_routers == 17
+        result = bisection_bandwidth(line)
+        assert not result.exact
+        assert result.num_cut_channels == 2  # one duplex link at the middle
+
     def test_bisection_bandwidth_needs_two_routers(self):
         lonely = Topology()
         lonely.add_router(1)

@@ -9,6 +9,8 @@ its memo, the per-search bound cache counters, and the factory surface.
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.bounds import (
     BOUND_NAMES,
@@ -22,7 +24,7 @@ from repro.core.bounds import (
     bound_tables,
     build_lower_bound,
 )
-from repro.core.cost import LinkCountCostModel, UnitCostModel
+from repro.core.cost import EnergyCostModel, LinkCountCostModel, UnitCostModel
 from repro.core.decomposition import DecompositionConfig, SearchStatistics, decompose
 from repro.core.graph import ApplicationGraph, DiGraph
 from repro.core.library import default_library, extended_library
@@ -129,6 +131,109 @@ class TestCheapestEdgeBound:
         acg = acg_from_edges([(1, 2)])
         bound = CheapestEdgeBound(bound_tables(default_library(), LINK), LINK, acg)
         assert bound.value(acg.graph_difference(acg)) == 0.0
+
+
+def reference_cheapest_edge(tables, cost_model, acg, residual) -> float:
+    """The per-offer loop the memoized bound replaced, kept as its oracle:
+    every residual edge scans every offer of the table."""
+
+    def paired_degree(node):
+        return sum(1 for other in residual.successors(node) if residual.has_edge(other, node))
+
+    offers = tables.offers
+    degrees = {}
+
+    def degrees_of(node):
+        cached = degrees.get(node)
+        if cached is None:
+            cached = (residual.out_degree(node), residual.in_degree(node), paired_degree(node))
+            degrees[node] = cached
+        return cached
+
+    total = 0.0
+    for source, target in residual.edges():
+        edge = (source, target)
+        is_bidirectional = residual.has_edge(target, source)
+        source_degrees = degrees_of(source)
+        target_degrees = degrees_of(target)
+        cheapest = cost_model.edge_remainder_cost(acg, edge)
+        for offer in offers:
+            if not offer.feasible(is_bidirectional, source_degrees, target_degrees):
+                continue
+            if offer.flat_share is not None:
+                charge = offer.flat_share
+            else:
+                charge = cost_model.edge_cover_cost(acg, edge, offer.hops)
+            if charge < cheapest:
+                cheapest = charge
+        total += cheapest
+    return total
+
+
+_LIBRARIES = {"default": default_library(), "extended": extended_library()}
+_MODELS = {
+    "link_count": LINK,
+    "unit": UNIT,
+    "unit_penalized": UnitCostModel(remainder_penalty=2.0),
+    "energy": EnergyCostModel(),
+}
+
+
+@st.composite
+def acg_with_residuals(draw):
+    """A random ACG (partly floorplanned) and a few of its residuals."""
+    nodes = st.integers(min_value=1, max_value=8)
+    pairs = st.tuples(nodes, nodes, st.booleans()).filter(lambda pair: pair[0] != pair[1])
+    edge_list = []
+    # full-duplex pairs are what the paired (gossip) offers feed on
+    for source, target, duplex in draw(st.lists(pairs, min_size=1, max_size=16)):
+        for edge in ((source, target), (target, source)) if duplex else ((source, target),):
+            if edge not in edge_list:
+                edge_list.append(edge)
+    acg = acg_from_edges(edge_list, name="hyp")
+    for node in acg.nodes():
+        if draw(st.booleans()):
+            acg.set_position(node, draw(st.integers(0, 6)) * 1.5, draw(st.integers(0, 6)))
+    residuals = []
+    for keep in draw(
+        st.lists(st.lists(st.booleans(), min_size=len(edge_list), max_size=len(edge_list)),
+                 min_size=1, max_size=4)
+    ):
+        residual = acg.structural_copy()
+        for edge, kept in zip(edge_list, keep):
+            if not kept:
+                residual.remove_edge(*edge)
+        residuals.append(residual)
+    return acg, residuals
+
+
+class TestCheapestEdgeMemo:
+    """The offer memo must reproduce the per-offer loop bit for bit."""
+
+    @pytest.mark.parametrize("library_name", sorted(_LIBRARIES))
+    @pytest.mark.parametrize("model_name", sorted(_MODELS))
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=acg_with_residuals())
+    def test_memoized_value_equals_the_per_offer_loop(self, library_name, model_name, case):
+        acg, residuals = case
+        library, cost_model = _LIBRARIES[library_name], _MODELS[model_name]
+        tables = bound_tables(library, cost_model)
+        bound = CheapestEdgeBound(tables, cost_model, acg)
+        # one instance over the whole graph and its residuals, as in a search
+        for residual in [acg, *residuals]:
+            expected = reference_cheapest_edge(tables, cost_model, acg, residual)
+            assert bound.value(residual) == expected
+
+    def test_each_search_gets_its_own_memo(self):
+        acg = acg_from_edges([(1, 2), (2, 1), (2, 3), (3, 4), (4, 1)])
+        first = build_lower_bound("cheapest_edge", default_library(), LINK, acg)
+        second = build_lower_bound("cheapest_edge", default_library(), LINK, acg)
+        first.value(acg)
+        assert first._offer_memo
+        assert not second._offer_memo
+        assert first._offer_memo is not second._offer_memo
+        stacked = build_lower_bound("stacked", default_library(), LINK, acg)
+        assert stacked.parts[0]._offer_memo is not first._offer_memo
 
 
 class TestPackingBound:

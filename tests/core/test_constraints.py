@@ -67,6 +67,7 @@ class TestConstraintChecker:
         assert report.satisfied
         assert report.violations == []
         assert report.bisection_bandwidth is None  # only computed under a limit
+        assert report.bisection_exact is None
         report.raise_if_violated()  # no exception
         assert "satisfied" in report.describe()
 
@@ -90,6 +91,7 @@ class TestConstraintChecker:
         report = ConstraintChecker(constraints).check(line_topology, line_table, acg)
         assert not report.satisfied
         assert report.bisection_bandwidth == pytest.approx(64.0)  # one duplex cut
+        assert report.bisection_exact  # three routers: every bipartition enumerated
         assert any("bisection" in violation for violation in report.violations)
 
     def test_router_degree_limit(self, line_topology, line_table):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.graph import ApplicationGraph, CorePosition, DiGraph, GraphStatistics
 from repro.exceptions import (
@@ -344,3 +346,105 @@ class TestEdgeSignature:
         graph = DiGraph()
         graph.add_node(1)
         assert graph.edge_signature() == (0, 0)
+
+
+def replay_copy(graph: DiGraph) -> DiGraph:
+    """Reference copy: replay every node and edge through the public adders."""
+    clone = type(graph)(name=graph.name)
+    for node in graph.nodes():
+        clone.add_node(node, **dict(graph.node_attributes(node)))
+    for source, target, attrs in graph.edges(data=True):
+        clone.add_edge(source, target, **dict(attrs))
+    return clone
+
+
+def assert_same_layout(actual: DiGraph, expected: DiGraph) -> None:
+    """Same nodes, adjacency iteration order, degrees, attributes and identity."""
+    assert actual.name == expected.name
+    assert actual.nodes() == expected.nodes()
+    for node in expected.nodes():
+        assert list(actual.successor_map(node)) == list(expected.successor_map(node))
+        assert list(actual.predecessor_map(node)) == list(expected.predecessor_map(node))
+        assert actual.out_degree(node) == expected.out_degree(node)
+        assert actual.in_degree(node) == expected.in_degree(node)
+        assert actual.node_attributes(node) == expected.node_attributes(node)
+    assert actual.edges(data=True) == expected.edges(data=True)
+    assert actual.num_edges == expected.num_edges
+    assert actual.edge_signature() == expected.edge_signature()
+    assert actual.structural_fingerprint() == expected.structural_fingerprint()
+
+
+@st.composite
+def edited_graphs(draw) -> DiGraph:
+    """Graphs built by adds *and* removals, so predecessor maps are not in
+    source-major order the way a fresh replay would lay them out."""
+    nodes = st.integers(min_value=0, max_value=7)
+    graph = DiGraph(name=draw(st.sampled_from(["", "g"])))
+    for node in draw(st.lists(nodes, max_size=4, unique=True)):
+        graph.add_node(node, weight=node)
+    operations = st.tuples(st.booleans(), nodes, nodes, st.integers(1, 9))
+    for add, source, target, volume in draw(st.lists(operations, max_size=30)):
+        if source == target:
+            continue
+        if add:
+            graph.add_edge(source, target, exist_ok=True, volume=float(volume))
+        elif graph.has_edge(source, target):
+            graph.remove_edge(source, target)
+    return graph
+
+
+class TestDirectCopy:
+    """``DiGraph.copy`` builds its dicts directly; it must equal a replay."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=edited_graphs())
+    def test_copy_matches_an_add_replay(self, graph):
+        assert_same_layout(graph.copy(), replay_copy(graph))
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=edited_graphs())
+    def test_edge_attributes_are_shared_within_the_clone_only(self, graph):
+        clone = graph.copy()
+        for source, target in graph.edges():
+            attrs = clone.successor_map(source)[target]
+            assert attrs is clone.predecessor_map(target)[source]
+            assert attrs is not graph.successor_map(source)[target]
+        for node in graph.nodes():
+            assert clone.node_attributes(node) is not graph.node_attributes(node)
+
+    def test_clone_edits_leave_the_original_alone(self):
+        graph = DiGraph.from_edges([(1, 2), (2, 3), (3, 1)])
+        graph.edge_attributes(1, 2)["volume"] = 4.0
+        clone = graph.copy()
+        clone.edge_attributes(1, 2)["volume"] = 9.0
+        clone.remove_edge(2, 3)
+        clone.add_edge(3, 2)
+        assert graph.edge_attributes(1, 2) == {"volume": 4.0}
+        assert graph.has_edge(2, 3) and not graph.has_edge(3, 2)
+        assert graph.edge_signature() != clone.edge_signature()
+
+    def test_application_graph_copy_keeps_positions_and_volumes(self):
+        acg = ApplicationGraph.from_traffic({(1, 2): 7.0, (2, 3): 5.0, (3, 1): 2.0})
+        acg.remove_edge(2, 3)
+        acg.add_communication(3, 2, volume=4.0, bandwidth=1.0)
+        acg.set_position(1, 0, 0)
+        acg.set_position(3, 2, 4)
+        clone = acg.copy()
+        assert isinstance(clone, ApplicationGraph)
+        assert_same_layout(clone, replay_copy(acg))
+        assert clone.positions() == acg.positions()
+        assert clone.volume(3, 2) == 4.0 and clone.bandwidth(3, 2) == 1.0
+        assert clone.link_length(1, 3) == acg.link_length(1, 3)
+
+    def test_adjacency_pairs_each_node_with_its_maps(self):
+        graph = DiGraph.from_edges([(1, 2), (3, 1), (2, 3)])
+        graph.remove_edge(3, 1)
+        graph.add_edge(3, 1)
+        for clone in (graph, graph.copy()):
+            assert [
+                (node, dict(outgoing), dict(incoming))
+                for node, outgoing, incoming in clone.adjacency()
+            ] == [
+                (node, dict(clone.successor_map(node)), dict(clone.predecessor_map(node)))
+                for node in clone.nodes()
+            ]

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.graph import DiGraph
 from repro.core.isomorphism import (
@@ -190,3 +194,55 @@ class TestIsomorphismMapping:
         pattern = DiGraph.from_edges([(1, 2)])
         mapping = IsomorphismMapping.from_dict({1: "x", 2: "y"})
         assert mapping.covered_edges(pattern) == frozenset({("x", "y")})
+
+
+def brute_force_mappings(pattern: DiGraph, target: DiGraph, induced: bool) -> set:
+    """Every injective node map that is a monomorphism (``induced``: an
+    induced subgraph isomorphism), by trying all of them."""
+    pattern_nodes = pattern.nodes()
+    found = set()
+    for image in permutations(target.nodes(), len(pattern_nodes)):
+        mapping = dict(zip(pattern_nodes, image))
+        if not all(target.has_edge(mapping[s], mapping[t]) for s, t in pattern.edges()):
+            continue
+        if induced and any(
+            target.has_edge(mapping[a], mapping[b]) and not pattern.has_edge(a, b)
+            for a in pattern_nodes
+            for b in pattern_nodes
+            if a != b
+        ):
+            continue
+        found.add(IsomorphismMapping.from_dict(mapping))
+    return found
+
+
+def small_digraphs(max_nodes: int, max_edges: int):
+    nodes = st.integers(min_value=0, max_value=max_nodes - 1)
+    edges = st.tuples(nodes, nodes).filter(lambda edge: edge[0] != edge[1])
+    return st.lists(edges, min_size=1, max_size=max_edges, unique=True).map(DiGraph.from_edges)
+
+
+class TestBruteForceOracle:
+    """VF2 against exhaustive enumeration on small random digraphs."""
+
+    @pytest.mark.parametrize("induced", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(pattern=small_digraphs(4, 6), target=small_digraphs(6, 14))
+    def test_find_all_enumerates_exactly_the_brute_force_set(self, induced, pattern, target):
+        matcher = VF2Matcher(
+            pattern, target, MatcherOptions(induced=induced, deduplicate_by_edges=False)
+        )
+        found = matcher.find_all(limit=None)
+        assert len(found) == len(set(found))
+        assert set(found) == brute_force_mappings(pattern, target, induced)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pattern=small_digraphs(4, 6), target=small_digraphs(6, 14))
+    def test_deduplication_keeps_one_mapping_per_covered_edge_set(self, pattern, target):
+        found = VF2Matcher(pattern, target).find_all(limit=None)
+        edge_sets = [mapping.covered_edges(pattern) for mapping in found]
+        assert len(edge_sets) == len(set(edge_sets))
+        assert set(edge_sets) == {
+            mapping.covered_edges(pattern)
+            for mapping in brute_force_mappings(pattern, target, induced=False)
+        }

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.graph import DiGraph
-from repro.core.isomorphism import find_subgraph_isomorphism
+from repro.core.graph import ApplicationGraph, DiGraph
+from repro.core.isomorphism import find_all_subgraph_isomorphisms, find_subgraph_isomorphism
+from repro.core.library import default_library
 from repro.core.matching import Matching, RemainderGraph
 from repro.core.primitives import make_gossip_primitive, make_path_primitive
 from repro.exceptions import DecompositionError
@@ -115,3 +118,66 @@ class TestRemainderGraph:
         text = remainder.describe()
         assert text.startswith("0: Remaining Graph")
         assert "(9 11)" in text
+
+
+_LIBRARY = default_library()
+
+
+def reference_subtract(matching: Matching, graph: DiGraph) -> DiGraph:
+    """Definition 2 through the graph operations: the covered edges as an
+    edge-induced subgraph, subtracted with ``graph_difference``."""
+    matching.verify_against(graph)
+    return graph.graph_difference(graph.edge_induced_subgraph(matching.covered_edges()))
+
+
+def assert_same_layout(actual: DiGraph, expected: DiGraph) -> None:
+    assert type(actual) is type(expected)
+    assert actual.name == expected.name
+    assert actual.nodes() == expected.nodes()
+    for node in expected.nodes():
+        assert list(actual.successor_map(node)) == list(expected.successor_map(node))
+        assert list(actual.predecessor_map(node)) == list(expected.predecessor_map(node))
+        assert actual.out_degree(node) == expected.out_degree(node)
+        assert actual.in_degree(node) == expected.in_degree(node)
+    assert actual.edges(data=True) == expected.edges(data=True)
+    assert actual.edge_signature() == expected.edge_signature()
+    assert actual.structural_fingerprint() == expected.structural_fingerprint()
+
+
+def random_acgs():
+    nodes = st.integers(min_value=1, max_value=7)
+    edges = st.tuples(nodes, nodes).filter(lambda edge: edge[0] != edge[1])
+
+    def build(edge_list):
+        acg = ApplicationGraph(name="hyp")
+        for index, (source, target) in enumerate(edge_list):
+            acg.add_communication(source, target, volume=float(8 * (index + 1)))
+        acg.set_position(edge_list[0][0], 1.0, 1.0)
+        return acg
+
+    return st.lists(edges, min_size=2, max_size=20, unique=True).map(build)
+
+
+class TestSubtractionMatchesGraphDifference:
+    @settings(max_examples=40, deadline=None)
+    @given(acg=random_acgs(), structural=st.booleans())
+    def test_every_matching_subtracts_like_graph_difference(self, acg, structural):
+        graph = acg.structural_copy() if structural else acg
+        for entry in _LIBRARY.entries():
+            primitive = entry.primitive
+            for mapping in find_all_subgraph_isomorphisms(
+                primitive.representation, graph, limit=3
+            ):
+                matching = Matching.from_mapping(primitive, mapping)
+                residual = matching.subtract_from(graph)
+                assert_same_layout(residual, reference_subtract(matching, graph))
+                assert residual.num_edges == graph.num_edges - len(matching.covered_edges())
+                if not structural:
+                    assert residual.positions() == acg.positions()
+
+    def test_subtraction_leaves_the_input_untouched(self, k4_matching, k4_acg):
+        before = k4_acg.edges(data=True)
+        signature = k4_acg.edge_signature()
+        k4_matching.subtract_from(k4_acg)
+        assert k4_acg.edges(data=True) == before
+        assert k4_acg.edge_signature() == signature
