@@ -103,13 +103,7 @@ _EXPORTS: dict[str, str] = {
     "LIBRARIES": "repro.dse.pipeline",
     "STRATEGIES": "repro.dse.pipeline",
     "TRAFFIC_MODES": "repro.dse.pipeline",
-    "SCORES": "repro.dse.pipeline",
-    "TrafficModeSpec": "repro.dse.pipeline",
-    "get_library": "repro.dse.pipeline",
-    "register_library": "repro.dse.pipeline",
-    "get_traffic_mode": "repro.dse.pipeline",
-    "register_traffic_mode": "repro.dse.pipeline",
-    "register_score": "repro.dse.pipeline",
+    "TrafficProgram": "repro.dse.pipeline",
     # DSE scenarios + sweeps
     "SUITES": "repro.dse.scenarios",
     "SuiteSpec": "repro.dse.scenarios",

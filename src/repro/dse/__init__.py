@@ -58,23 +58,16 @@ from repro.dse.cache import (
 )
 from repro.dse.pipeline import (
     LIBRARIES,
-    SCORES,
     STRATEGIES,
     TRAFFIC_MODES,
     ArchitectureMetrics,
     EvaluationSettings,
     Scenario,
-    TrafficModeSpec,
+    TrafficProgram,
     baseline_route_stage,
     build_baseline_fabric,
-    build_baseline_mesh,
     decompose_stage,
     evaluate,
-    get_library,
-    get_traffic_mode,
-    register_library,
-    register_score,
-    register_traffic_mode,
     route_stage,
     score_stage,
     simulate_acg_traffic,
@@ -146,7 +139,6 @@ __all__ = [
     "ArchitectureMetrics",
     "simulate_aes_traffic",
     "simulate_acg_traffic",
-    "build_baseline_mesh",
     "build_baseline_fabric",
     "baseline_route_stage",
     "STATUS_OK",
@@ -195,13 +187,7 @@ __all__ = [
     "LIBRARIES",
     "STRATEGIES",
     "TRAFFIC_MODES",
-    "SCORES",
-    "TrafficModeSpec",
-    "get_library",
-    "register_library",
-    "get_traffic_mode",
-    "register_traffic_mode",
-    "register_score",
+    "TrafficProgram",
     "scenario_rows",
     "aes_scenario",
     "embedded_scenario",

@@ -109,6 +109,8 @@ def _artifact_store(arguments: argparse.Namespace) -> StageArtifactStore | None:
 
 def _sweep_grid(arguments: argparse.Namespace):
     """Resolve the suite + grid axes shared by ``run`` and ``search``."""
+    if arguments.workers is not None and arguments.workers < 1:
+        raise ConfigurationError(f"--workers must be at least 1, got {arguments.workers}")
     spec = resolve_suite(arguments.suite)
     scenarios = spec.build()
     axes = dict(spec.default_axes)

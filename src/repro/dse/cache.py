@@ -206,11 +206,6 @@ class ResultCache:
             stream.write(record.to_json() + "\n")
         self._records[record.cache_key] = record
 
-    def store_all(self, records: list[EvaluationRecord]) -> None:
-        """Append several records in order."""
-        for record in records:
-            self.store(record)
-
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------

@@ -14,14 +14,17 @@ passes none), or builds the standard-fabric baseline (a
 :mod:`repro.arch.families` topology family compiled against a
 :mod:`repro.routing.policies` routing policy, via
 :func:`baseline_route_stage`) for ``mesh``.  Then ``simulate_stage ->
-score_stage`` drive the cycle-level simulator with the scenario's traffic
-program (plain ACG batches, or the dependency-aware AES phases) and
-capture every figure of merit into an
+score_stage`` drive the cycle-level simulator with the scenario's
+:class:`TrafficProgram` (the op list its :data:`TRAFFIC_MODES` builder
+makes: plain ACG batches, the dependency-aware AES phases, or a plugin
+mode) and capture every figure of merit into an
 :class:`~repro.dse.records.EvaluationRecord` — one cell at a time in
 :func:`evaluate`, or many cells per vectorized simulator call for
-batch-engine cells in :func:`evaluate_cells`.  Failures at any stage
-become record statuses (:func:`_assign_failure`), not exceptions: an
-infeasible or deadlocking configuration is a *result* of the exploration.
+batch-engine cells in :func:`evaluate_cells`.  Both paths replay the same
+program, built once per scenario per process (:func:`traffic_program`).
+Failures at any stage become record statuses (:func:`_assign_failure`),
+not exceptions: an infeasible or deadlocking configuration is a *result*
+of the exploration.
 
 The stages are separable on purpose: the decompose stage only reads the
 workload graph plus the decomposition knobs, and the synthesize/route
@@ -47,7 +50,6 @@ from typing import TYPE_CHECKING
 from repro.aes.aes_core import FIPS197_KEY
 from repro.aes.distributed import DistributedAES
 from repro.arch.families import get_family, pad_node_ids
-from repro.arch.mesh import MeshTopology
 from repro.arch.topology import Topology
 from repro.core.bounds import BOUND_NAMES
 from repro.core.cost import LinkCountCostModel
@@ -131,66 +133,10 @@ STRATEGIES.register("branch_and_bound", SearchStrategy.BRANCH_AND_BOUND)
 STRATEGIES.register("greedy", SearchStrategy.GREEDY)
 
 
-def get_library(name: str) -> Callable[[], CommunicationLibrary]:
-    """Look a communication-library factory up by name (uniform errors)."""
-    return LIBRARIES.get(name)
-
-
-def register_library(name: str, factory: Callable[[], CommunicationLibrary]) -> None:
-    """Register (or replace) a communication-library factory."""
-    LIBRARIES.register(name, factory)
-
-
-@dataclass(frozen=True)
-class TrafficModeSpec:
-    """One named way to drive the simulator with a scenario's traffic.
-
-    ``simulate(scenario, settings, name, topology, routing)`` runs the
-    workload on one architecture and returns the measured
-    :class:`ArchitectureMetrics`.  The built-in modes are ``"acg"``
-    (inject every ACG edge's volume per repetition, drain between
-    repetitions) and ``"aes_phases"`` (the dependency-aware distributed-AES
-    phase trace); third-party traffic generators register additional modes
-    through the plugin fabric and become usable from any
-    :class:`Scenario`.
-    """
-
-    name: str
-    description: str
-    simulate: Callable[
-        ["Scenario", "EvaluationSettings", str, Topology, RoutingFunction],
-        "ArchitectureMetrics",
-    ]
-
-
-#: the traffic-mode registry (plugin-fabric cell: third-party traffic
+#: the traffic-mode registry: each mode is a program builder
+#: ``scenario -> TrafficProgram`` (plugin-fabric cell: third-party traffic
 #: generators register here, directly or via the entry-point group)
-TRAFFIC_MODES: Registry[TrafficModeSpec] = Registry("traffic mode")
-
-
-def get_traffic_mode(name: str) -> TrafficModeSpec:
-    """Look a traffic mode up by name (uniform errors)."""
-    return TRAFFIC_MODES.get(name)
-
-
-def register_traffic_mode(spec: TrafficModeSpec) -> TrafficModeSpec:
-    """Register (or replace) a traffic mode under its name."""
-    return TRAFFIC_MODES.register(spec.name, spec)
-
-
-#: the scoring-function registry: extra per-cell figures of merit.
-#: Each registered ``fn(metrics, topology) -> float`` contributes one
-#: ``{name: value}`` column to every record :func:`score_stage` produces;
-#: nothing is registered by default, so the built-in record shape is
-#: unchanged until a caller (or an entry-point plugin) adds scores.
-SCORES: Registry[Callable[["ArchitectureMetrics", Topology], float]] = Registry(
-    "scoring function"
-)
-
-
-def register_score(name: str, fn: Callable[["ArchitectureMetrics", Topology], float]):
-    """Register (or replace) an extra scoring function under ``name``."""
-    return SCORES.register(name, fn)
+TRAFFIC_MODES: Registry[Callable[["Scenario"], "TrafficProgram"]] = Registry("traffic mode")
 
 
 # ----------------------------------------------------------------------
@@ -576,22 +522,21 @@ def _metrics_from_state(
     energy,
     engine: str,
     cycles_stepped: int,
-    iterations: int,
-    aes_blocks: bool,
+    program: TrafficProgram,
 ) -> ArchitectureMetrics:
     """Fold one finished simulation state into :class:`ArchitectureMetrics`.
 
     Shared by the per-cell simulators and the batched simulate stage so
     solo and batched evaluations compute every figure with the exact same
-    float operations — bit-identical metrics either way.  ``aes_blocks``
-    selects the paper's block-throughput formula over the delivered-bits
-    throughput used for generic ACG traffic.
+    float operations — bit-identical metrics either way.  The replayed
+    ``program`` supplies the iteration count and the throughput basis.
     """
+    iterations = program.iterations
     total_cycles = statistics.total_cycles
     cycles_per_block = total_cycles / iterations
-    if aes_blocks:
+    if program.block_bits is not None:
         throughput = throughput_mbps_from_cycles(
-            AES_BLOCK_SIZE_BITS, cycles_per_block, technology.frequency_mhz
+            program.block_bits, cycles_per_block, technology.frequency_mhz
         )
     else:
         throughput = statistics.throughput_mbps(technology.frequency_mhz)
@@ -639,34 +584,91 @@ def _flush_probe(probe: SimulatorProbe | None, statistics, name: str) -> None:
 TrafficOp = ScheduleOp | DrainOp | RunOp
 
 
-def _traffic_program(
-    traffic: str,
-    iterations: int,
-    acg: ApplicationGraph | None = None,
-    packet_size_bits: int = 32,
-    computation_cycles_per_phase: int = 0,
-) -> list[TrafficOp]:
-    """A built-in traffic mode as a schedule/drain/run op program.
+@dataclass(frozen=True)
+class TrafficProgram:
+    """A scenario's traffic as the op program every simulator engine replays.
 
-    ``"acg"``: per repetition, schedule every ACG edge's volume and drain.
-    ``"aes_phases"``: per AES block, schedule each phase of the distributed
-    encryption, drain, then idle for the computation allowance.  The solo
-    traffic modes replay the program on a :class:`NoCSimulator`; the
-    batched simulate stage enqueues it on a :class:`BatchSimulator` cell.
+    The solo engines replay ``ops`` on a :class:`NoCSimulator`; the batched
+    simulate stage enqueues the same ops on a :class:`BatchSimulator` cell.
+    ``iterations`` is what the per-iteration figures divide by (AES blocks,
+    ACG repetitions).  ``block_bits`` picks the throughput basis: when set,
+    each iteration counts as one ``block_bits``-bit block (the paper's AES
+    block throughput); when ``None``, throughput is the delivered bits.
     """
-    if traffic == TRAFFIC_ACG:
-        messages = tuple(acg_messages(acg, packet_size_bits=packet_size_bits))
-        return [op for _ in range(iterations) for op in (ScheduleOp(messages), DrainOp())]
+
+    ops: tuple[TrafficOp, ...]
+    iterations: int
+    block_bits: int | None = None
+
+
+def _acg_program(
+    acg: ApplicationGraph, repetitions: int, packet_size_bits: int
+) -> TrafficProgram:
+    """Per repetition, schedule every ACG edge's volume and drain."""
+    if repetitions < 1:
+        raise ConfigurationError("at least one traffic repetition is required")
+    messages = tuple(acg_messages(acg, packet_size_bits=packet_size_bits))
+    ops = tuple(op for _ in range(repetitions) for op in (ScheduleOp(messages), DrainOp()))
+    return TrafficProgram(ops, repetitions)
+
+
+def _aes_phase_program(blocks: int, computation_cycles_per_phase: int) -> TrafficProgram:
+    """Per AES block and encryption phase: schedule it, drain, then idle.
+
+    The idle step is the cores' local-computation allowance.
+    """
+    if blocks < 1:
+        raise ConfigurationError("the comparison needs at least one block")
     if computation_cycles_per_phase < 0:
         raise SimulationError("computation cycles per phase must be non-negative")
     idle = [RunOp(computation_cycles_per_phase)] if computation_cycles_per_phase else []
     aes = DistributedAES(FIPS197_KEY)
     plaintext = bytes(range(16))
-    program: list[TrafficOp] = []
-    for block_index in range(iterations):
+    ops: list[TrafficOp] = []
+    for block_index in range(blocks):
         block = bytes((byte + block_index) % 256 for byte in plaintext)
         for phase in aes.encrypt_block(block).phases:
-            program += [ScheduleOp(tuple(phase)), DrainOp(), *idle]
+            ops += [ScheduleOp(tuple(phase)), DrainOp(), *idle]
+    return TrafficProgram(tuple(ops), blocks, block_bits=AES_BLOCK_SIZE_BITS)
+
+
+TRAFFIC_MODES.register(
+    TRAFFIC_ACG,
+    lambda scenario: _acg_program(
+        scenario.acg, scenario.repetitions, scenario.packet_size_bits
+    ),
+)
+TRAFFIC_MODES.register(
+    TRAFFIC_AES_PHASES,
+    lambda scenario: _aes_phase_program(
+        scenario.aes_blocks, scenario.computation_cycles_per_phase
+    ),
+)
+
+
+#: built programs by (builder, scenario content); see :func:`traffic_program`
+_PROGRAMS: dict[tuple[object, str], TrafficProgram] = {}
+
+#: programs kept before the oldest is dropped (a sweep has a few dozen)
+_MAX_PROGRAMS = 256
+
+
+def traffic_program(scenario: Scenario) -> TrafficProgram:
+    """The scenario's traffic mode built into its op program, once per process.
+
+    Programs are memoized by the mode's builder plus the scenario's content
+    :meth:`~Scenario.fingerprint` (what the result cache keys on too), so
+    every cell simulating the same workload — solo or batched, whatever
+    the engine — replays one shared program.
+    """
+    builder = TRAFFIC_MODES.get(scenario.traffic)
+    key = (builder, json.dumps(scenario.fingerprint(), sort_keys=True))
+    program = _PROGRAMS.get(key)
+    if program is None:
+        program = builder(scenario)
+        if len(_PROGRAMS) >= _MAX_PROGRAMS:
+            del _PROGRAMS[next(iter(_PROGRAMS))]
+        _PROGRAMS[key] = program
     return program
 
 
@@ -676,14 +678,12 @@ def _replay_program(
     routing: RoutingFunction,
     technology: Technology,
     simulator_config: SimulatorConfig,
-    program: list[TrafficOp],
-    iterations: int,
-    aes_blocks: bool,
+    program: TrafficProgram,
 ) -> ArchitectureMetrics:
     """Run one traffic program on a fresh :class:`NoCSimulator`."""
     simulator = NoCSimulator(topology, routing, config=simulator_config, technology=technology)
     probe = _session_probe(simulator)
-    for op in program:
+    for op in program.ops:
         if isinstance(op, ScheduleOp):
             simulator.schedule_messages(op.messages)
         elif isinstance(op, DrainOp):
@@ -699,8 +699,7 @@ def _replay_program(
         simulator.energy,
         engine=simulator.config.engine,
         cycles_stepped=simulator.cycles_stepped,
-        iterations=iterations,
-        aes_blocks=aes_blocks,
+        program=program,
     )
 
 
@@ -714,14 +713,8 @@ def simulate_aes_traffic(
     computation_cycles_per_phase: int = 4,
 ) -> ArchitectureMetrics:
     """Run the dependency-aware distributed-AES phases on one architecture."""
-    if blocks < 1:
-        raise ConfigurationError("the comparison needs at least one block")
-    program = _traffic_program(
-        TRAFFIC_AES_PHASES, blocks, computation_cycles_per_phase=computation_cycles_per_phase
-    )
-    return _replay_program(
-        name, topology, routing, technology, simulator_config, program, blocks, True
-    )
+    program = _aes_phase_program(blocks, computation_cycles_per_phase)
+    return _replay_program(name, topology, routing, technology, simulator_config, program)
 
 
 def simulate_acg_traffic(
@@ -739,12 +732,8 @@ def simulate_acg_traffic(
     Each repetition injects every ACG edge's volume once and runs until the
     network drains, which models one iteration of the application.
     """
-    if repetitions < 1:
-        raise ConfigurationError("at least one traffic repetition is required")
-    program = _traffic_program(TRAFFIC_ACG, repetitions, acg, packet_size_bits)
-    return _replay_program(
-        name, topology, routing, technology, simulator_config, program, repetitions, False
-    )
+    program = _acg_program(acg, repetitions, packet_size_bits)
+    return _replay_program(name, topology, routing, technology, simulator_config, program)
 
 
 def build_baseline_fabric(
@@ -771,17 +760,6 @@ def build_baseline_fabric(
         tile_pitch_mm=tile_pitch_mm,
         flit_width_bits=flit_width_bits,
     )
-
-
-def build_baseline_mesh(
-    acg: ApplicationGraph, tile_pitch_mm: float = 2.0, flit_width_bits: int = 32
-) -> MeshTopology:
-    """The standard-mesh baseline (``build_baseline_fabric`` with ``mesh``)."""
-    fabric = build_baseline_fabric(
-        acg, family="mesh", tile_pitch_mm=tile_pitch_mm, flit_width_bits=flit_width_bits
-    )
-    assert isinstance(fabric, MeshTopology)  # the mesh family builds meshes
-    return fabric
 
 
 def baseline_route_stage(
@@ -909,68 +887,18 @@ def simulate_stage(
 ) -> ArchitectureMetrics:
     """Stage 4: drive the cycle-level simulator with the scenario's traffic.
 
-    Dispatches through the :data:`TRAFFIC_MODES` registry, so a scenario
-    whose ``traffic`` names a plugin-registered mode simulates exactly like
-    the built-in ACG-batch and AES-phase modes.
+    Replays the scenario's :func:`traffic_program` — built by its
+    :data:`TRAFFIC_MODES` entry, so a plugin-registered mode simulates
+    exactly like the built-in ACG-batch and AES-phase modes.
     """
-    return get_traffic_mode(scenario.traffic).simulate(
-        scenario, settings, name, topology, routing
-    )
-
-
-def _iterations(scenario: Scenario) -> int:
-    """Iterations a built-in traffic mode runs: AES blocks or ACG repetitions."""
-    if scenario.traffic == TRAFFIC_AES_PHASES:
-        return scenario.aes_blocks
-    return scenario.repetitions
-
-
-def _scenario_program(scenario: Scenario) -> list[TrafficOp]:
-    """A scenario's built-in traffic mode as its op program."""
-    return _traffic_program(
-        scenario.traffic,
-        _iterations(scenario),
-        scenario.acg,
-        scenario.packet_size_bits,
-        scenario.computation_cycles_per_phase,
-    )
-
-
-def _simulate_builtin_mode(
-    scenario: Scenario,
-    settings: EvaluationSettings,
-    name: str,
-    topology: Topology,
-    routing: RoutingFunction,
-) -> ArchitectureMetrics:
-    """The ``"acg"`` and ``"aes_phases"`` modes: replay the scenario's program."""
     return _replay_program(
         name,
         topology,
         routing,
         settings.build_technology(),
         settings.build_simulator_config(),
-        _scenario_program(scenario),
-        _iterations(scenario),
-        aes_blocks=scenario.traffic == TRAFFIC_AES_PHASES,
+        traffic_program(scenario),
     )
-
-
-register_traffic_mode(
-    TrafficModeSpec(
-        name=TRAFFIC_ACG,
-        description="inject every ACG edge's volume per repetition and drain",
-        simulate=_simulate_builtin_mode,
-    )
-)
-
-register_traffic_mode(
-    TrafficModeSpec(
-        name=TRAFFIC_AES_PHASES,
-        description="dependency-aware distributed-AES phase trace",
-        simulate=_simulate_builtin_mode,
-    )
-)
 
 
 def score_stage(metrics: ArchitectureMetrics, topology: Topology) -> dict[str, float]:
@@ -980,12 +908,8 @@ def score_stage(metrics: ArchitectureMetrics, topology: Topology) -> dict[str, f
     ``total_cycles`` it says how much dead time the configured simulator
     engine skipped for this cell (the engine name itself sits in the
     record's ``settings["engine"]``).
-
-    Every function in the :data:`SCORES` registry contributes one extra
-    ``{name: value}`` column on top of the built-in figures (a registered
-    score that reuses a built-in key deliberately shadows it).
     """
-    scores = {
+    return {
         "sim_cycles_stepped": float(metrics.cycles_stepped),
         "total_cycles": float(metrics.total_cycles),
         "cycles_per_iteration": metrics.cycles_per_block,
@@ -999,9 +923,6 @@ def score_stage(metrics: ArchitectureMetrics, topology: Topology) -> dict[str, f
         "max_channel_utilization": metrics.max_channel_utilization,
         "total_wire_mm": topology.total_wire_length_mm(),
     }
-    for score_name in SCORES.names():
-        scores[score_name] = float(SCORES.get(score_name)(metrics, topology))
-    return scores
 
 
 def _apply_deadlock_gate(
@@ -1248,23 +1169,7 @@ def _batch_group_key(topology: Topology, table: RoutingTable) -> object:
     return (signature, table.version, entries)
 
 
-def _batch_ops(
-    scenario: Scenario, ops_cache: dict[int, list[TrafficOp]]
-) -> list[TrafficOp]:
-    """The scenario's traffic program, built once per scenario per call.
-
-    The program (including the Python-AES phase traces) is shared by every
-    cell driving the same scenario in a batch.
-    """
-    ops = ops_cache.get(id(scenario))
-    if ops is None:
-        ops = ops_cache[id(scenario)] = _scenario_program(scenario)
-    return ops
-
-
-def _simulate_batch_chunk(
-    chunk: list[_PreparedCell], ops_cache: dict[int, list[TrafficOp]]
-) -> None:
+def _simulate_batch_chunk(chunk: list[_PreparedCell]) -> None:
     """Simulate one group chunk in a single multi-cell batch call.
 
     Wall time is measured once for the whole call and attributed evenly:
@@ -1285,10 +1190,11 @@ def _simulate_batch_chunk(
             [cell.settings.build_simulator_config() for cell in chunk],
             technologies=[cell.settings.build_technology() for cell in chunk],
         )
+        programs = [traffic_program(cell.scenario) for cell in chunk]
         for position, cell in enumerate(chunk):
             if capture:
                 probes[position] = core.attach_probe(position, SimulatorProbe())
-            for op in _batch_ops(cell.scenario, ops_cache):
+            for op in programs[position].ops:
                 core.enqueue(position, op)
         with get_tracer().span("dse.simulate", cells=len(chunk), engine=ENGINE_BATCH):
             core.execute()
@@ -1317,8 +1223,7 @@ def _simulate_batch_chunk(
             core.energy(position),
             engine=ENGINE_BATCH,
             cycles_stepped=core.cycles_stepped(position),
-            iterations=_iterations(cell.scenario),
-            aes_blocks=cell.scenario.traffic == TRAFFIC_AES_PHASES,
+            program=programs[position],
         )
         _flush_probe(probes[position], core.statistics(position), cell.topology.name)
         _score(record, metrics, cell.topology)
@@ -1334,7 +1239,6 @@ def evaluate_cells(
     The drop-in plural of :func:`evaluate`: records come back in payload
     order with identical content.  Every cell is prepared by the same code
     as a solo :func:`evaluate`; cells whose effective engine is ``"batch"``
-    (and whose traffic mode is one of the built-ins the op programs cover)
     then stop before the simulate stage, are grouped by
     :func:`_batch_group_key` — same topology signature, same routing-table
     version and entries — chunked to :data:`MAX_BATCH_CELLS`, and simulated
@@ -1351,17 +1255,14 @@ def evaluate_cells(
     groups: dict[object, list[_PreparedCell]] = {}
     for scenario, settings, axes, key in cell_payloads:
         label = axis_label(axes)
-        if scenario.effective_settings(settings).engine != ENGINE_BATCH or (
-            scenario.traffic not in (TRAFFIC_ACG, TRAFFIC_AES_PHASES)
-        ):
+        if scenario.effective_settings(settings).engine != ENGINE_BATCH:
             records.append(evaluate(scenario, settings, key, label, axes, context))
             continue
         cell = _prepare_cell(scenario, settings, key, label, axes, context)
         records.append(cell.record)
         if cell.routing is not None:
             groups.setdefault(_batch_group_key(cell.topology, cell.table), []).append(cell)
-    ops_cache: dict[int, list[TrafficOp]] = {}
     for group in groups.values():
         for offset in range(0, len(group), MAX_BATCH_CELLS):
-            _simulate_batch_chunk(group[offset : offset + MAX_BATCH_CELLS], ops_cache)
+            _simulate_batch_chunk(group[offset : offset + MAX_BATCH_CELLS])
     return records

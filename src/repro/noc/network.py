@@ -141,15 +141,6 @@ class Network:
         self._route_cache[key] = next_hop
         return next_hop
 
-    def is_idle(self) -> bool:
-        """True when no packet is buffered or in flight anywhere."""
-        if self.in_flight:
-            return False
-        return all(router.occupancy() == 0 for router in self.routers.values())
-
-    def buffered_packets(self) -> int:
-        return sum(router.occupancy() for router in self.routers.values())
-
     def next_arrival_cycle(self) -> int | None:
         """Earliest cycle at which an in-flight packet can arrive, if any."""
         return self._next_arrival

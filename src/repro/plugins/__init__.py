@@ -2,7 +2,7 @@
 
 Every named extension point in repro — topology families, routing
 policies, scenario suites, communication libraries, traffic modes,
-scoring functions, interchange formats — is one :class:`Registry`
+interchange formats — is one :class:`Registry`
 instance from this package.  The kernel gives them all the same
 contract:
 

@@ -9,8 +9,8 @@ External packages extend repro by declaring an entry point in the
 The target must be a callable taking no arguments (or a module, whose
 import is its registration).  When any registry lookup misses — or any
 ``names()`` listing runs — :func:`discover` loads every entry point in
-the group, so a family, policy, suite, traffic mode, scoring function or
-interchange format registered by an installed package becomes sweepable
+the group, so a family, policy, suite, traffic mode or interchange
+format registered by an installed package becomes sweepable
 without touching ``repro.*``.
 
 A broken plugin must not take the CLI down with it: load failures are

@@ -11,15 +11,16 @@ behaviours that used to be hand-rolled (slightly differently) in
 * **lazy third-party discovery** — a lookup miss (and every ``names()``
   listing) first loads the ``repro.plugins`` entry-point group
   (:mod:`repro.plugins.discovery`), so families, policies, traffic modes
-  and scoring functions shipped by external packages appear without any
-  edit inside ``repro.*``;
+  and formats shipped by external packages appear without any edit
+  inside ``repro.*``;
 * **provenance** — objects registered while a plugin is loading are
   tagged with the distribution that provided them, so listings can say
   where a name came from.
 
 The kernel deliberately knows nothing about what it stores: the value
-type is a free type parameter and callers keep their existing
-``register_*`` / ``get_*`` wrapper functions as the stable API.
+type is a free type parameter.  Some modules wrap their registry in
+``register_*`` / ``get_*`` functions (families, policies, suites); others
+expose the registry itself (libraries, strategies, traffic modes).
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class Registry(Generic[T]):
     which is what lets a test or a plugin shadow a built-in deliberately.
     """
 
-    #: all live registries, newest last — what discovery and the
-    #: ``list-plugins`` style reporting iterate over
-    _instances: list["Registry"] = []
-
     def __init__(
         self,
         kind: str,
@@ -59,7 +56,6 @@ class Registry(Generic[T]):
         self._items: dict[str, T] = {}
         self._providers: dict[str, str] = {}
         self._discover_enabled = discover
-        Registry._instances.append(self)
 
     # ------------------------------------------------------------------
     # registration
@@ -154,11 +150,6 @@ class Registry(Generic[T]):
 
     def __repr__(self) -> str:
         return f"<Registry kind={self.kind!r} names={sorted(self._items)}>"
-
-    @classmethod
-    def all_registries(cls) -> list["Registry"]:
-        """Every live registry, in creation order."""
-        return list(cls._instances)
 
 
 # ----------------------------------------------------------------------

@@ -138,9 +138,6 @@ class RoutingTable:
                 )
         return path
 
-    def destinations_of(self, router: NodeId) -> list[NodeId]:
-        return [dest for (src, dest) in self._next_hop if src == router]
-
     def entries(self) -> dict[tuple[NodeId, NodeId], NodeId]:
         return dict(self._next_hop)
 

@@ -149,3 +149,15 @@ class TestCliMisuse:
         ]) != 0
         self._one_error_line(capsys)
         assert not results.exists()
+
+    @pytest.mark.parametrize("command", ["run", "search"])
+    def test_non_positive_workers_rejected_before_any_evaluation(
+        self, command, tmp_path, capsys
+    ):
+        results = tmp_path / "results.jsonl"
+        assert main([
+            command, "--suite", "smoke", "--parallel", "--workers", "0",
+            "--results", str(results),
+        ]) == 2
+        assert "--workers" in self._one_error_line(capsys)
+        assert not results.exists()

@@ -9,7 +9,6 @@ from repro.dse.pipeline import (
     Scenario,
     baseline_route_stage,
     build_baseline_fabric,
-    build_baseline_mesh,
     evaluate,
 )
 from repro.dse.records import (
@@ -119,13 +118,13 @@ class TestScenario:
 
 class TestBaselineMesh:
     def test_square_count_gets_exact_grid(self):
-        mesh = build_baseline_mesh(aes_scenario().acg)
+        mesh = build_baseline_fabric(aes_scenario().acg, family="mesh")
         assert mesh.rows == 4 and mesh.columns == 4
         assert mesh.num_routers == 16
 
     def test_non_square_count_is_padded(self):
         scenario = tgff_scenario(num_tasks=10, seed=7)
-        mesh = build_baseline_mesh(scenario.acg)
+        mesh = build_baseline_fabric(scenario.acg, family="mesh")
         assert mesh.num_routers == mesh.rows * mesh.columns >= 10
         pads = [node for node in mesh.routers() if str(node).startswith("__pad")]
         assert len(pads) == mesh.num_routers - 10
@@ -253,7 +252,7 @@ class TestEvaluate:
 
         scenario = planted_scenario(num_nodes=12, seed=11)
         settings = EvaluationSettings(architecture="mesh")
-        mesh = build_baseline_mesh(scenario.acg)
+        mesh = build_baseline_fabric(scenario.acg, family="mesh")
         legacy = simulate_acg_traffic(
             "m", mesh, xy_routing_function(mesh), scenario.acg,
             settings.build_technology(), settings.build_simulator_config(),

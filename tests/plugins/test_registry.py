@@ -97,7 +97,7 @@ class TestUniformErrorsAcrossCallSites:
 
     def _lookup(self, kind):
         from repro.arch.families import get_family
-        from repro.dse.pipeline import LIBRARIES, STRATEGIES, get_traffic_mode
+        from repro.dse.pipeline import LIBRARIES, STRATEGIES, TRAFFIC_MODES
         from repro.dse.scenarios import get_suite
         from repro.io import get_format
         from repro.routing.policies import get_policy
@@ -109,7 +109,7 @@ class TestUniformErrorsAcrossCallSites:
             "format": get_format,
             "library": LIBRARIES.get,
             "strategy": STRATEGIES.get,
-            "traffic": get_traffic_mode,
+            "traffic": TRAFFIC_MODES.get,
         }[kind]
 
     @pytest.mark.parametrize("kind,bad,known,suggestion", CASES)
