@@ -21,12 +21,12 @@ from repro.dse.analysis import custom_dominates_mesh, pareto_front, pareto_repor
 from repro.dse.cache import ResultCache
 from repro.dse.pipeline import evaluate
 from repro.dse.runner import plan_sweep, run_sweep
-from repro.dse.scenarios import erdos_renyi_scenario, get_suite, planted_scenario
+from repro.dse.scenarios import SUITES, erdos_renyi_scenario, planted_scenario
 
 
 @pytest.fixture(scope="module")
 def embedded_sweep(tmp_path_factory):
-    spec = get_suite("embedded")
+    spec = SUITES.get("embedded")
     cache = ResultCache(tmp_path_factory.mktemp("dse") / "results.jsonl")
     result = run_sweep(
         spec.build(), base=spec.base_settings, axes=spec.default_axes, cache=cache

@@ -21,9 +21,9 @@ import argparse
 from pathlib import Path
 
 from repro.dse import (
+    SUITES,
     ResultCache,
     StageArtifactStore,
-    get_suite,
     pareto_report,
     run_sweep,
 )
@@ -40,7 +40,7 @@ def main() -> None:
                         help="fan decomposition-sharing groups over a process pool")
     arguments = parser.parse_args()
 
-    spec = get_suite(arguments.suite)
+    spec = SUITES.get(arguments.suite)
     scenarios = spec.build()
     cache = ResultCache(arguments.results)
     result = run_sweep(

@@ -36,7 +36,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.dse import (  # noqa: E402
-    get_suite,
+    SUITES,
     pareto_front,
     plan_sweep,
     run_cells,
@@ -75,7 +75,7 @@ def scenario_fronts(records: list[EvaluationRecord]) -> dict[str, set[str]]:
 
 def run_benchmark(margin: float, seed: int) -> dict[str, object]:
     """One exhaustive-vs-guided comparison on the embedded suite."""
-    spec = get_suite("embedded")
+    spec = SUITES.get("embedded")
     scenarios = spec.build()
     cells = plan_sweep(scenarios, spec.base_settings, BENCH_AXES)
     grid_cells = len({cell.key for cell in cells})

@@ -66,8 +66,6 @@ _EXPORTS: dict[str, str] = {
     "FAMILIES": "repro.arch.families",
     "FamilySpec": "repro.arch.families",
     "register_family": "repro.arch.families",
-    "family_names": "repro.arch.families",
-    "get_family": "repro.arch.families",
     "build_fabric": "repro.arch.families",
     "pad_node_ids": "repro.arch.families",
     "infrastructure_router": "repro.arch.families",
@@ -75,16 +73,12 @@ _EXPORTS: dict[str, str] = {
     "POLICIES": "repro.routing.policies",
     "PolicySpec": "repro.routing.policies",
     "register_policy": "repro.routing.policies",
-    "policy_names": "repro.routing.policies",
-    "get_policy": "repro.routing.policies",
     "build_policy_table": "repro.routing.policies",
     "supported_policies": "repro.routing.policies",
     # graph interchange
     "FORMATS": "repro.io",
     "GraphFormat": "repro.io",
     "register_format": "repro.io",
-    "format_names": "repro.io",
-    "get_format": "repro.io",
     "detect_format": "repro.io",
     "read_workload": "repro.io",
     "write_workload": "repro.io",
@@ -108,8 +102,6 @@ _EXPORTS: dict[str, str] = {
     "SUITES": "repro.dse.scenarios",
     "SuiteSpec": "repro.dse.scenarios",
     "register_suite": "repro.dse.scenarios",
-    "suite_names": "repro.dse.scenarios",
-    "get_suite": "repro.dse.scenarios",
     "resolve_suite": "repro.dse.scenarios",
     "build_suite": "repro.dse.scenarios",
     "file_scenario": "repro.dse.scenarios",
@@ -143,8 +135,6 @@ _EXPORTS: dict[str, str] = {
     "EXPORTERS": "repro.obs",
     "ExporterSpec": "repro.obs",
     "register_exporter": "repro.obs",
-    "get_exporter": "repro.obs",
-    "exporter_names": "repro.obs",
     "write_event_log": "repro.obs",
     "read_event_log": "repro.obs",
     "render_trace_summary": "repro.obs",

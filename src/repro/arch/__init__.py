@@ -12,8 +12,6 @@ from repro.arch.families import (
     SpidergonTopology,
     TorusTopology,
     build_fabric,
-    family_names,
-    get_family,
     infrastructure_router,
     most_square_grid,
     pad_node_ids,
@@ -48,8 +46,6 @@ __all__ = [
     "FatTreeTopology",
     "LongRangeMeshTopology",
     "register_family",
-    "family_names",
-    "get_family",
     "build_fabric",
     "most_square_grid",
     "pad_node_ids",

@@ -5,7 +5,7 @@ The paper compares decomposition-synthesized custom NoCs against a
 axis rather than a hard-wired 2-D mesh.  A :class:`FamilySpec` names a
 fabric family and knows how to instantiate it from a flat list of node
 ids plus declarative parameters (tile pitch, flit width); the registry
-(:func:`register_family` / :func:`get_family` / :func:`build_fabric`)
+(:data:`FAMILIES`, :func:`register_family`, :func:`build_fabric`)
 is what :func:`repro.dse.pipeline.build_baseline_fabric` and the DSE
 ``topology`` axis consume.
 
@@ -373,21 +373,6 @@ def register_family(spec: FamilySpec) -> FamilySpec:
     return FAMILIES.register(spec.name, spec)
 
 
-def family_names() -> list[str]:
-    """All registered family names, sorted (after plugin discovery)."""
-    return FAMILIES.names()
-
-
-def get_family(name: str) -> FamilySpec:
-    """Look a family up by name.
-
-    Raises :class:`~repro.exceptions.UnknownPluginError` (a
-    :class:`~repro.exceptions.ConfigurationError`) listing the available
-    families and the nearest match when the name is unknown.
-    """
-    return FAMILIES.get(name)
-
-
 def build_fabric(
     family: str,
     node_ids: Sequence[NodeId],
@@ -395,7 +380,7 @@ def build_fabric(
     flit_width_bits: int = 32,
 ) -> Topology:
     """Instantiate the named family over pre-padded node ids."""
-    return get_family(family).build(
+    return FAMILIES.get(family).build(
         node_ids, tile_pitch_mm=tile_pitch_mm, flit_width_bits=flit_width_bits
     )
 
@@ -408,7 +393,7 @@ def pad_node_ids(family: str | FamilySpec, node_ids: Sequence[NodeId]) -> list[N
     filters built on it) recognize, so every caller must pad through here
     rather than inventing its own filler ids.
     """
-    spec = family if isinstance(family, FamilySpec) else get_family(family)
+    spec = family if isinstance(family, FamilySpec) else FAMILIES.get(family)
     nodes = list(node_ids)
     total = spec.padded_size(len(nodes))
     return nodes + [f"__pad{index}" for index in range(total - len(nodes))]

@@ -40,6 +40,14 @@ from repro.core.library import CommunicationLibrary, LibraryEntry
 from repro.core.matching import Matching, RemainderGraph
 from repro.exceptions import DecompositionError
 
+#: When the matching cache is on, fresh VF2 queries enumerate up to
+#: ``CACHE_OVERSCAN * max_matchings_per_primitive`` matchings so that
+#: completeness (and therefore inheritability) can be proven for primitives
+#: whose matching count is moderate.  Branching still uses only the first
+#: ``max_matchings_per_primitive`` candidates; the extra matchings only feed
+#: the candidate-inheritance cache.
+CACHE_OVERSCAN = 4
+
 
 class SearchStrategy(Enum):
     """How the decomposition space is explored."""
@@ -109,13 +117,6 @@ class DecompositionConfig:
     (cheaper partial cost, no-stricter symmetry key) visit.  Identical
     residual edge sets are reachable through different interleavings of
     overlapping matchings that the symmetry filter cannot collapse."""
-    cache_overscan: int = 4
-    """When the matching cache is on, fresh VF2 queries enumerate up to
-    ``cache_overscan * max_matchings_per_primitive`` matchings so that
-    completeness (and therefore inheritability) can be proven for primitives
-    whose matching count is moderate.  Branching still uses only the first
-    ``max_matchings_per_primitive`` candidates; the extra matchings only feed
-    the candidate-inheritance cache."""
 
 
 @dataclass
@@ -366,8 +367,8 @@ class Decomposer:
         )
         limit = self.config.max_matchings_per_primitive
         scan_limit = limit
-        if limit is not None and overscan and self.config.cache_overscan > 1:
-            scan_limit = limit * self.config.cache_overscan
+        if limit is not None and overscan:
+            scan_limit = limit * CACHE_OVERSCAN
         mappings = matcher.find_all(limit=scan_limit)
         complete = not matcher.timed_out and (
             scan_limit is None or len(mappings) < scan_limit

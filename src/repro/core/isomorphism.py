@@ -91,7 +91,6 @@ class MatcherOptions:
 
     induced: bool = False
     timeout_seconds: float | None = None
-    max_matches: int | None = None
     deduplicate_by_edges: bool = True
     node_compatible: Callable[[Node, Node], bool] | None = None
 
@@ -183,8 +182,6 @@ class VF2Matcher:
         suppressed when ``deduplicate_by_edges`` is set, because they would
         lead to identical branches in the decomposition tree.
         """
-        if limit is None:
-            limit = self.options.max_matches
         if self.pattern.num_nodes == 0:
             return
         if self.pattern.num_nodes > self.target.num_nodes:

@@ -30,6 +30,9 @@ from repro.routing.table import RoutingTable
 
 NodeId = Hashable
 
+#: length of a link whose endpoints have no floorplan position
+DEFAULT_LINK_LENGTH_MM = 2.0
+
 
 @dataclass
 class SynthesisOptions:
@@ -47,9 +50,6 @@ class SynthesisOptions:
     synthesized topology strongly connected.
     """
     fill_all_pairs_routing: bool = False
-    default_link_length_mm: float = 2.0
-    check_constraints: bool = True
-    check_deadlock: bool = True
 
 
 @dataclass
@@ -60,15 +60,13 @@ class SynthesizedArchitecture:
     decomposition: DecompositionResult
     topology: CustomTopology
     routing_table: RoutingTable
-    constraint_report: ConstraintReport | None
-    deadlock_report: DeadlockReport | None
+    constraint_report: ConstraintReport
+    deadlock_report: DeadlockReport
 
     @property
     def is_feasible(self) -> bool:
-        """True when all checked constraints hold (unchecked counts as holding)."""
-        constraints_ok = self.constraint_report is None or self.constraint_report.satisfied
-        deadlock_ok = self.deadlock_report is None or self.deadlock_report.is_deadlock_free
-        return constraints_ok and deadlock_ok
+        """True when the design constraints hold and the routing is deadlock-free."""
+        return self.constraint_report.satisfied and self.deadlock_report.is_deadlock_free
 
     def describe(self) -> str:
         """Multi-line human-readable summary of the synthesized design."""
@@ -79,11 +77,9 @@ class SynthesizedArchitecture:
             f"  routers: {self.topology.num_routers}, physical links: "
             f"{self.topology.num_physical_links}",
             f"  routing entries: {self.routing_table.num_entries}",
+            f"  constraints: {self.constraint_report.describe()}",
+            f"  deadlock: {self.deadlock_report.describe()}",
         ]
-        if self.constraint_report is not None:
-            lines.append(f"  constraints: {self.constraint_report.describe()}")
-        if self.deadlock_report is not None:
-            lines.append(f"  deadlock: {self.deadlock_report.describe()}")
         return "\n".join(lines)
 
 
@@ -143,7 +139,7 @@ class TopologySynthesizer:
     def _link_length(self, acg: ApplicationGraph, source: NodeId, target: NodeId) -> float:
         if acg.has_position(source) and acg.has_position(target):
             return acg.link_length(source, target)
-        return self.options.default_link_length_mm
+        return DEFAULT_LINK_LENGTH_MM
 
     # ------------------------------------------------------------------
     # full flow
@@ -157,21 +153,13 @@ class TopologySynthesizer:
             decomposition, topology, fill_all_pairs=self.options.fill_all_pairs_routing
         )
 
-        constraint_report = None
-        if self.options.check_constraints:
-            constraint_report = ConstraintChecker(self.constraints).check(topology, table, acg)
-
-        deadlock_report = None
-        if self.options.check_deadlock:
-            deadlock_report = analyze_deadlock(table, acg.edges())
-
         return SynthesizedArchitecture(
             acg=acg,
             decomposition=decomposition,
             topology=topology,
             routing_table=table,
-            constraint_report=constraint_report,
-            deadlock_report=deadlock_report,
+            constraint_report=ConstraintChecker(self.constraints).check(topology, table, acg),
+            deadlock_report=analyze_deadlock(table, acg.edges()),
         )
 
 

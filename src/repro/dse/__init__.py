@@ -27,9 +27,9 @@ exploration engine:
 
 Quickstart::
 
-    from repro.dse import build_suite, get_suite, run_sweep, pareto_report, ResultCache
+    from repro.dse import SUITES, run_sweep, pareto_report, ResultCache
 
-    spec = get_suite("smoke")
+    spec = SUITES.get("smoke")
     result = run_sweep(spec.build(), base=spec.base_settings,
                        axes=spec.default_axes, cache=ResultCache("results.jsonl"))
     print(pareto_report(result.records))
@@ -116,13 +116,11 @@ from repro.dse.scenarios import (
     erdos_renyi_scenario,
     file_scenario,
     file_suite,
-    get_suite,
     planted_scenario,
     register_suite,
     resolve_suite,
     scale_free_scenario,
     scenario_rows,
-    suite_names,
     tgff_scenario,
 )
 
@@ -175,10 +173,8 @@ __all__ = [
     "margin_dominated",
     "SuiteSpec",
     "register_suite",
-    "get_suite",
     "resolve_suite",
     "build_suite",
-    "suite_names",
     "describe_suites",
     "SUITES",
     "FILE_SUITE_PREFIX",

@@ -7,8 +7,8 @@ Examples::
     python -m repro.dse run --suite smoke
     python -m repro.dse run --suite file:examples/graphs/pipeline8.net
     python -m repro.dse run --suite random --parallel --axis library=default,extended
-    python -m repro.dse run --suite fabrics --topology mesh,torus,ring \\
-        --routing-policy xy,dateline,up_down
+    python -m repro.dse run --suite fabrics --axis topology=mesh,torus,ring \\
+        --axis routing_policy=xy,dateline,up_down
     python -m repro.dse search --suite embedded --margin 0.1
     python -m repro.dse search --suite embedded \\
         --rung screen:budget_fraction=0.16,simulation_cap=1,engine=batch \\
@@ -60,7 +60,7 @@ from repro.exceptions import ConfigurationError, ReproError
 from repro.obs import (
     NULL_SESSION,
     ObsSession,
-    get_exporter,
+    EXPORTERS,
     read_event_log,
     render_trace_summary,
     use_session,
@@ -115,14 +115,6 @@ def _sweep_grid(arguments: argparse.Namespace):
     scenarios = spec.build()
     axes = dict(spec.default_axes)
     axes.update(_parse_axes(arguments.axis))
-    if arguments.topology:
-        axes["topology"] = [value for value in arguments.topology.split(",") if value]
-    if arguments.routing_policy:
-        axes["routing_policy"] = [
-            value for value in arguments.routing_policy.split(",") if value
-        ]
-    if arguments.engine:
-        axes["engine"] = [value for value in arguments.engine.split(",") if value]
     return spec, scenarios, axes
 
 
@@ -210,7 +202,6 @@ def _cmd_search(arguments: argparse.Namespace) -> int:
         ladder=_parse_ladder(arguments.rung),
         margin=arguments.margin,
         seed=arguments.seed,
-        max_promotions=arguments.max_promotions,
     )
     cache = ResultCache(arguments.results)
     artifacts = _artifact_store(arguments)
@@ -248,7 +239,7 @@ def _cmd_trace(arguments: argparse.Namespace) -> int:
 
 def _cmd_stats(arguments: argparse.Namespace) -> int:
     events = read_event_log(arguments.path)
-    print(get_exporter(arguments.format).render(events))
+    print(EXPORTERS.get(arguments.format).render(events))
     return 0
 
 
@@ -287,15 +278,15 @@ def _cmd_report(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_list_fabrics(arguments: argparse.Namespace) -> int:
-    from repro.arch.families import family_names, get_family, pad_node_ids
+    from repro.arch.families import FAMILIES, pad_node_ids
     from repro.experiments.reporting import format_table
-    from repro.routing.policies import get_policy, policy_names, supported_policies
+    from repro.routing.policies import POLICIES, supported_policies
 
     probe_cores = arguments.cores
     family_rows = []
     fabrics = {}
-    for name in family_names():
-        spec = get_family(name)
+    for name in FAMILIES.names():
+        spec = FAMILIES.get(name)
         fabric = spec.build(pad_node_ids(spec, range(1, probe_cores + 1)))
         fabrics[name] = fabric
         family_rows.append(
@@ -312,11 +303,11 @@ def _cmd_list_fabrics(arguments: argparse.Namespace) -> int:
     policy_rows = [
         {
             "policy": name,
-            "deadlock_free": get_policy(name).deadlock_free_by_construction,
-            "minimal_on": ",".join(get_policy(name).minimal_families) or "-",
-            "description": get_policy(name).description,
+            "deadlock_free": POLICIES.get(name).deadlock_free_by_construction,
+            "minimal_on": ",".join(POLICIES.get(name).minimal_families) or "-",
+            "description": POLICIES.get(name).description,
         }
-        for name in policy_names()
+        for name in POLICIES.names()
     ]
     print()
     print(format_table(policy_rows, title="routing policies"))
@@ -325,10 +316,10 @@ def _cmd_list_fabrics(arguments: argparse.Namespace) -> int:
     for family, fabric in fabrics.items():
         row: dict[str, object] = {"family": family}
         supported = set(supported_policies(fabric))
-        for policy in policy_names():
+        for policy in POLICIES.names():
             if policy not in supported:
                 row[policy] = "-"
-            elif get_policy(policy).deadlock_free_by_construction:
+            elif POLICIES.get(policy).deadlock_free_by_construction:
                 row[policy] = "free"
             else:
                 row[policy] = "gate"
@@ -340,7 +331,7 @@ def _cmd_list_fabrics(arguments: argparse.Namespace) -> int:
         "gate: CDG gate decides per workload)",
     ))
     print("\nsweep these axes with: python -m repro.dse run --suite fabrics "
-          "--topology NAME,... --routing-policy NAME,...")
+          "--axis topology=NAME,... --axis routing_policy=NAME,...")
     return 0
 
 
@@ -362,10 +353,10 @@ def _cmd_import_workload(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_export_topology(arguments: argparse.Namespace) -> int:
-    from repro.arch.families import get_family, pad_node_ids
+    from repro.arch.families import FAMILIES, pad_node_ids
     from repro.io import write_topology
 
-    spec = get_family(arguments.family)
+    spec = FAMILIES.get(arguments.family)
     fabric = spec.build(
         pad_node_ids(spec, range(1, arguments.cores + 1)),
         tile_pitch_mm=arguments.tile_pitch,
@@ -439,12 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--seed", type=int, default=0,
                         help="seed for the deterministic promotion tie-break "
                              "(default: 0)")
-    search.add_argument("--max-promotions", dest="max_promotions", type=int,
-                        default=None, metavar="N",
-                        help="cap promotions per scenario per rung; front "
-                             "members and margin survivors compete for the "
-                             "slots in deterministic rank order (default: "
-                             "no cap)")
     search.set_defaults(handler=_cmd_search)
 
     _add_reporting_commands(commands)
@@ -472,22 +457,10 @@ def _add_sweep_options(run: argparse.ArgumentParser) -> None:
                      help="process-pool size with --parallel (default: cpu count)")
     run.add_argument("--axis", action="append", default=[], metavar="NAME=V1,V2",
                      help="override/add a grid axis; repeatable; values are "
-                          "coerced to bool/int/float/None when they parse as such "
+                          "coerced to bool/int/float/None when they parse as such, "
+                          "e.g. topology=mesh,torus (see list-fabrics), "
+                          "routing_policy=xy,dateline or engine=event,batch "
                           "(default: the suite's grid)")
-    run.add_argument("--topology", default=None, metavar="FAM1,FAM2",
-                     help="topology families to sweep the baseline fabric over "
-                          "(shorthand for --axis topology=...; see list-fabrics; "
-                          "default: the suite's grid)")
-    run.add_argument("--routing-policy", dest="routing_policy", default=None,
-                     metavar="POL1,POL2",
-                     help="routing policies to sweep the baseline fabric over "
-                          "(shorthand for --axis routing_policy=...; see "
-                          "list-fabrics; default: the suite's grid)")
-    run.add_argument("--engine", default=None, metavar="ENG1,ENG2",
-                     help="simulator engines to sweep (shorthand for --axis "
-                          "engine=...; 'event', 'reference' or 'batch' — batch "
-                          "cells sharing a fabric+routing signature are simulated "
-                          "in one vectorized call; default: the suite's grid)")
     run.add_argument("--trace", type=Path, default=None, metavar="FILE",
                      help="record an observability event log (spans + metrics, "
                           "JSONL) of this sweep to FILE; inspect it with the "

@@ -382,14 +382,14 @@ class StageContext:
         memoized = self._decompositions.get(key)
         if memoized is not None:
             return memoized, STAGE_REUSED_MEMORY
+        # one library serves the artifact load and, on a miss, the search
+        library = settings.build_library()
         if self.store is not None:
-            loaded = self.store.load_decomposition(
-                key, scenario.acg, settings.build_library()
-            )
+            loaded = self.store.load_decomposition(key, scenario.acg, library)
             if loaded is not None:
                 self._decompositions[key] = loaded
                 return loaded, STAGE_REUSED_STORE
-        computed = run_decomposition_search(scenario, settings)
+        computed = run_decomposition_search(scenario, settings, library)
         self._decompositions[key] = computed
         if self.store is not None:
             self.store.store_decomposition(key, computed)

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING
 
 from repro.aes.aes_core import FIPS197_KEY
 from repro.aes.distributed import DistributedAES
-from repro.arch.families import get_family, pad_node_ids
+from repro.arch.families import FAMILIES, pad_node_ids
 from repro.arch.topology import Topology
 from repro.core.bounds import BOUND_NAMES
 from repro.core.cost import LinkCountCostModel
@@ -81,7 +81,7 @@ from repro.dse.records import (
     STATUS_SYNTHESIS_FAILED,
     EvaluationRecord,
 )
-from repro.energy.technology import Technology, get_technology
+from repro.energy.technology import TECHNOLOGIES, Technology
 from repro.exceptions import (
     ConfigurationError,
     DeadlockError,
@@ -103,7 +103,7 @@ from repro.noc.traffic import acg_messages
 from repro.obs import SimulatorProbe, get_session, get_tracer
 from repro.plugins import Registry
 from repro.routing.deadlock import DeadlockReport, analyze_deadlock
-from repro.routing.policies import get_policy
+from repro.routing.policies import POLICIES
 from repro.routing.table import RoutingTable
 
 if TYPE_CHECKING:
@@ -179,10 +179,10 @@ class EvaluationSettings:
     # -- standard-fabric baseline ----------------------------------------
     topology: str = "mesh"
     """Topology family of the baseline fabric (see
-    :func:`repro.arch.families.family_names`)."""
+    :data:`repro.arch.families.FAMILIES`)."""
     routing_policy: str = "xy"
     """Routing policy compiled onto the baseline fabric (see
-    :func:`repro.routing.policies.policy_names`)."""
+    :data:`repro.routing.policies.POLICIES`)."""
     mesh_tile_pitch_mm: float = 2.0
     """Tile pitch of the baseline fabric (the name predates the fabric
     registry; every family reads it, not just the mesh)."""
@@ -195,6 +195,8 @@ class EvaluationSettings:
 
     # -- simulation ------------------------------------------------------
     technology: str = "fpga_virtex2"
+    """Technology point of the energy model (see
+    :data:`repro.energy.technology.TECHNOLOGIES`)."""
     router_pipeline_delay_cycles: int = 1
     buffer_capacity_packets: int = 4
     max_cycles: int = 100_000
@@ -210,8 +212,9 @@ class EvaluationSettings:
             )
         STRATEGIES.get(self.strategy)  # raises UnknownPluginError when unknown
         LIBRARIES.get(self.library)  # raises UnknownPluginError when unknown
-        get_family(self.topology)  # raises ConfigurationError when unknown
-        get_policy(self.routing_policy)  # raises ConfigurationError when unknown
+        FAMILIES.get(self.topology)  # raises UnknownPluginError when unknown
+        POLICIES.get(self.routing_policy)  # raises UnknownPluginError when unknown
+        TECHNOLOGIES.get(self.technology)  # raises UnknownPluginError when unknown
         try:
             # rejects an unknown engine and non-positive buffer/pipeline knobs
             # at plan time instead of caching simulation_failed records
@@ -363,7 +366,7 @@ class EvaluationSettings:
 
     def build_technology(self) -> Technology:
         """Resolve the named technology's energy/frequency parameters."""
-        return get_technology(self.technology)
+        return TECHNOLOGIES.get(self.technology)
 
 
 # ----------------------------------------------------------------------
@@ -754,7 +757,7 @@ def build_baseline_fabric(
     nodes = list(acg.nodes())
     if not nodes:
         raise ConfigurationError("cannot build a fabric baseline for an empty ACG")
-    spec = get_family(family)
+    spec = FAMILIES.get(family)
     return spec.build(
         pad_node_ids(spec, nodes),
         tile_pitch_mm=tile_pitch_mm,
@@ -784,7 +787,7 @@ def baseline_route_stage(
     # only the scenario's traffic pairs are ever simulated or deadlock-
     # gated, so the table is restricted to them: same routed decisions,
     # none of the all-pairs work over __pad*/__sw* infrastructure routers
-    table = get_policy(settings.routing_policy).build(fabric, scenario.acg.edges())
+    table = POLICIES.get(settings.routing_policy).build(fabric, scenario.acg.edges())
     deadlock_report = analyze_deadlock(table, scenario.acg.edges())
     return fabric, table, deadlock_report
 
@@ -793,19 +796,22 @@ def baseline_route_stage(
 # the pipeline, stage by stage
 # ----------------------------------------------------------------------
 def run_decomposition_search(
-    scenario: Scenario, settings: EvaluationSettings
+    scenario: Scenario, settings: EvaluationSettings, library: CommunicationLibrary
 ) -> DecompositionResult:
     """The uncached decompose stage: run the search on the scenario's ACG.
 
-    This is the expensive part of a custom-architecture evaluation; callers
-    that may share decompositions across cells go through
-    :func:`decompose_stage` with a :class:`~repro.dse.cache.StageContext`
-    instead of calling this directly.
+    ``library`` is the one the scenario-effective settings name
+    (``scenario.effective_settings(settings).build_library()``); the caller
+    builds it so that one instance serves both an artifact load and this
+    search.  This is the expensive part of a custom-architecture
+    evaluation; callers that may share decompositions across cells go
+    through :func:`decompose_stage` with a
+    :class:`~repro.dse.cache.StageContext` instead of calling this directly.
     """
     settings = scenario.effective_settings(settings)
     return decompose(
         scenario.acg,
-        settings.build_library(),
+        library,
         cost_model=LinkCountCostModel(),
         config=settings.build_decomposition_config(),
     )
@@ -928,7 +934,7 @@ def score_stage(metrics: ArchitectureMetrics, topology: Topology) -> dict[str, f
 def _apply_deadlock_gate(
     record: EvaluationRecord,
     settings: EvaluationSettings,
-    deadlock_report: DeadlockReport | None,
+    deadlock_report: DeadlockReport,
 ) -> None:
     """The route-stage CDG gate: record provenance, optionally fail the cell.
 
@@ -939,8 +945,6 @@ def _apply_deadlock_gate(
     :func:`evaluate` records as a routing failure — nothing is ever
     silently simulated on a deadlocky table without provenance saying so.
     """
-    if deadlock_report is None:
-        return
     record.deadlock_free = deadlock_report.is_deadlock_free
     record.metrics["vc_channels_needed"] = float(
         len(deadlock_report.channels_needing_virtual_channels)
@@ -996,8 +1000,7 @@ def _synthesize_custom(
         scenario, settings, decomposition, stage=partial(_stage, record)
     )
     record.stage_reuse["synthesize"] = provenance
-    if architecture.constraint_report is not None:
-        record.constraints_satisfied = architecture.constraint_report.satisfied
+    record.constraints_satisfied = architecture.constraint_report.satisfied
     _apply_deadlock_gate(record, settings, architecture.deadlock_report)
     return architecture
 
@@ -1016,7 +1019,7 @@ def _assign_failure(record: EvaluationRecord, error: ReproError) -> None:
     """Map a pipeline exception onto the record statuses (or re-raise).
 
     Any other :class:`~repro.exceptions.ReproError` (``ConfigurationError``,
-    ``WorkloadError``, an unknown technology, ...) is a caller bug, not an
+    ``WorkloadError``, ...) is a caller bug, not an
     exploration outcome: it raises rather than poison the result cache
     with mislabeled failures.
     """

@@ -12,7 +12,7 @@ the on-disk JSONL cache stores.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 #: evaluation outcome classes (ordered roughly by how far the pipeline got)
 STATUS_OK = "ok"
@@ -153,8 +153,12 @@ class EvaluationRecord:
     # JSON round-trip (the cache's storage format)
     # ------------------------------------------------------------------
     def to_json(self) -> str:
-        """One JSONL line (the cache's storage format)."""
-        payload = asdict(self)
+        """One JSONL line (the cache's storage format).
+
+        Every field holds JSON-native values, so a shallow field dict
+        serializes exactly like a deep ``dataclasses.asdict`` copy.
+        """
+        payload = {spec.name: getattr(self, spec.name) for spec in fields(self)}
         payload.pop("from_cache", None)  # a load-time annotation, not state
         return json.dumps(payload, sort_keys=True)
 

@@ -173,32 +173,17 @@ def register_suite(spec: SuiteSpec) -> SuiteSpec:
     return SUITES.register(spec.name, spec)
 
 
-def suite_names() -> list[str]:
-    """All registered suite names, sorted (after plugin discovery)."""
-    return SUITES.names()
-
-
-def get_suite(name: str) -> SuiteSpec:
-    """Look a suite up by name.
-
-    Raises :class:`~repro.exceptions.UnknownPluginError` (a
-    :class:`~repro.exceptions.ConfigurationError`) listing the available
-    suites and the nearest match when the name is unknown.
-    """
-    return SUITES.get(name)
-
-
 def resolve_suite(name: str) -> SuiteSpec:
     """A suite by registered name, or from a workload file via ``file:``.
 
-    ``resolve_suite("smoke")`` is :func:`get_suite`;
+    ``resolve_suite("smoke")`` is ``SUITES.get("smoke")``;
     ``resolve_suite("file:acg.net")`` builds a one-scenario suite around
     :func:`file_scenario` — the CLI accepts both everywhere a suite name
     is taken.
     """
     if name.startswith(FILE_SUITE_PREFIX):
         return file_suite(name[len(FILE_SUITE_PREFIX) :])
-    return get_suite(name)
+    return SUITES.get(name)
 
 
 def file_scenario(
@@ -251,7 +236,7 @@ def build_suite(name: str) -> list[Scenario]:
 def describe_suites() -> list[dict[str, object]]:
     """Summary rows for ``list-scenarios`` style reporting."""
     rows = []
-    for name in suite_names():
+    for name in SUITES.names():
         spec = SUITES.get(name)
         scenarios = spec.build()
         rows.append(

@@ -198,11 +198,6 @@ class SearchConfig:
     (insurance against low-rung metrics misleading the racer)."""
     seed: int = 0
     """Seeds the promotion tie-break hash; part of the provenance."""
-    max_promotions: int | None = None
-    """Optional per-scenario cap on promotions per rung (front members and
-    margin survivors compete for the slots in deterministic rank order)."""
-    minimize: tuple[str, ...] = DEFAULT_MINIMIZE
-    maximize: tuple[str, ...] = DEFAULT_MAXIMIZE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ladder", tuple(self.ladder))
@@ -219,8 +214,6 @@ class SearchConfig:
             )
         if self.margin < 0.0:
             raise ConfigurationError(f"margin must be >= 0, got {self.margin!r}")
-        if self.max_promotions is not None and self.max_promotions < 1:
-            raise ConfigurationError("max_promotions must be at least 1")
 
 
 def _beats_by_margin(
@@ -399,7 +392,7 @@ class SearchResult:
             seen.setdefault(record.scenario, None)
         for scenario in seen:
             scoped = [record for record in finished if record.scenario == scenario]
-            front.extend(pareto_front(scoped, self.config.minimize, self.config.maximize))
+            front.extend(pareto_front(scoped))
         return front
 
     def failed(self) -> list[EvaluationRecord]:
@@ -446,12 +439,11 @@ def _select_survivors(
     by_scenario: dict[str, list[int]] = {}
     for position, index in enumerate(alive):
         by_scenario.setdefault(cells[index].scenario.name, []).append(position)
-    survivors: list[int] = []
     pruned: list[int] = []
     promotion_order: list[int] = []
     for positions in by_scenario.values():
         scoped = [records[position] for position in positions]
-        front = pareto_front(scoped, config.minimize, config.maximize)
+        front = pareto_front(scoped)
         front_ids = {id(record) for record in front}
         ranked: list[tuple[int, str, int]] = []
         for position in positions:
@@ -460,16 +452,14 @@ def _select_survivors(
                 rank = 0
             elif (
                 not record.succeeded
-                or _objective_values(record, config.minimize, config.maximize) is None
+                or _objective_values(record, DEFAULT_MINIMIZE, DEFAULT_MAXIMIZE) is None
             ):
                 pruned.append(alive[position])
                 continue
             elif margin_dominated(
                 record,
                 front,
-                config.minimize,
-                config.maximize,
-                _effective_margin(record, rung, cells[alive[position]], config.margin),
+                margin=_effective_margin(record, rung, cells[alive[position]], config.margin),
             ):
                 pruned.append(alive[position])
                 continue
@@ -479,21 +469,8 @@ def _select_survivors(
                 (rank, _tiebreak(config.seed, rung_index, cells[alive[position]].key), position)
             )
         ranked.sort()
-        kept_keys: set[str] = set()
-        for rank, _, position in ranked:
-            key = cells[alive[position]].key
-            if (
-                config.max_promotions is not None
-                and key not in kept_keys
-                and len(kept_keys) >= config.max_promotions
-            ):
-                pruned.append(alive[position])
-                continue
-            kept_keys.add(key)
-            survivors.append(alive[position])
-            promotion_order.append(alive[position])
-    survivors.sort()
-    return survivors, pruned, promotion_order
+        promotion_order.extend(alive[position] for *_, position in ranked)
+    return sorted(promotion_order), pruned, promotion_order
 
 
 def run_search(

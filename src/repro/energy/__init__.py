@@ -3,7 +3,7 @@
 Public entry points:
 
 * :class:`repro.energy.technology.Technology` and the shipped catalogue
-  (:data:`CMOS_180NM`, :data:`FPGA_VIRTEX2`, ...),
+  (:data:`TECHNOLOGIES`: :data:`CMOS_180NM`, :data:`FPGA_VIRTEX2`, ...),
 * :class:`repro.energy.bit_energy.BitEnergyModel` — Equation 1,
 * :class:`repro.energy.link_model.LinkEnergyModel` — length/repeater-aware
   ``E_Lbit``,
@@ -20,9 +20,8 @@ from repro.energy.technology import (
     CMOS_180NM,
     DEFAULT_TECHNOLOGY,
     FPGA_VIRTEX2,
+    TECHNOLOGIES,
     Technology,
-    available_technologies,
-    get_technology,
 )
 
 __all__ = [
@@ -31,8 +30,7 @@ __all__ = [
     "EnergyAccount",
     "energy_per_block_from_power",
     "Technology",
-    "available_technologies",
-    "get_technology",
+    "TECHNOLOGIES",
     "CMOS_100NM",
     "CMOS_130NM",
     "CMOS_180NM",

@@ -6,7 +6,8 @@ is stored in the library, and that the link energy per bit (``E_Lbit``) is
 derived from a per-unit-length figure plus the repeater overhead once the
 actual link length is known from the floorplan.
 
-This module provides a small catalogue of representative technology points.
+This module provides a small catalogue of representative technology points
+(:data:`TECHNOLOGIES`).
 The absolute values follow the published bit-energy characterisations used by
 the NoC mapping literature the paper builds on (Hu & Marculescu, DATE 2003
 and the Eb profiles commonly quoted for 0.18 um / 0.13 um / 0.10 um nodes);
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import EnergyModelError
+from repro.plugins import Registry
 
 
 @dataclass(frozen=True)
@@ -158,24 +160,11 @@ wires are comparatively cheap, hence the high switch-to-link energy ratio;
 the static term models the clock tree and idle logic of the network fabric.
 """
 
-_CATALOGUE: dict[str, Technology] = {
-    technology.name: technology
-    for technology in (CMOS_180NM, CMOS_130NM, CMOS_100NM, FPGA_VIRTEX2)
-}
+#: the technology-point registry (plugin-fabric cell: the DSE
+#: ``technology`` axis names an entry; third-party points register here,
+#: directly or via the ``repro.plugins`` entry-point group)
+TECHNOLOGIES: Registry[Technology] = Registry("technology")
+for _technology in (CMOS_180NM, CMOS_130NM, CMOS_100NM, FPGA_VIRTEX2):
+    TECHNOLOGIES.register(_technology.name, _technology)
 
 DEFAULT_TECHNOLOGY = FPGA_VIRTEX2
-
-
-def available_technologies() -> list[str]:
-    """Names of the technology points shipped with the library."""
-    return sorted(_CATALOGUE)
-
-
-def get_technology(name: str) -> Technology:
-    """Look a technology up by name."""
-    try:
-        return _CATALOGUE[name]
-    except KeyError as error:
-        raise EnergyModelError(
-            f"unknown technology {name!r}; available: {available_technologies()}"
-        ) from error

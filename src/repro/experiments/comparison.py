@@ -38,7 +38,7 @@ from repro.energy.technology import FPGA_VIRTEX2, Technology
 from repro.experiments.aes_experiment import AesSynthesisResult, run_aes_synthesis
 from repro.experiments.reporting import format_table, percentage_change
 from repro.noc.simulator import SimulatorConfig
-from repro.routing.policies import get_policy
+from repro.routing.policies import POLICIES
 
 #: paper-reported reference numbers (Section 5.2)
 PAPER_RESULTS = {
@@ -169,7 +169,7 @@ def evaluate_fabric(
     """
     node_ids = pad_node_ids(family, range(1, 17))
     fabric = build_fabric(family, node_ids, tile_pitch_mm=tile_pitch_mm)
-    table = get_policy(routing_policy).build(fabric)
+    table = POLICIES.get(routing_policy).build(fabric)
     config = simulator_config or default_simulator_config()
     return simulate_aes_traffic(
         fabric.name,
@@ -235,10 +235,10 @@ def export_comparison_topologies(
     figure-style topology pair directly with Graphviz.  Returns the
     written paths keyed by architecture name.
     """
-    from repro.io import get_format, write_topology
+    from repro.io import FORMATS, write_topology
 
     synthesis = synthesis or run_aes_synthesis()
-    extension = get_format(fmt).extensions[0]
+    extension = FORMATS.get(fmt).extensions[0]
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     mesh = build_fabric("mesh", pad_node_ids("mesh", range(1, 17)),

@@ -10,17 +10,13 @@ implementation, so the reproduction criterion is the *shape*: run time grows
 superlinearly with graph size, small task graphs finish in fractions of a
 second, and the largest random graphs remain tractable (seconds to minutes).
 
-Sweeps run serially by default.  Passing ``parallel=True`` dispatches one
-decomposition per worker process with :mod:`multiprocessing` (via
-``concurrent.futures``) so the Figure-4 sweeps scale with cores; every run is
-independent, so the resulting points are identical to a serial sweep up to
-wall-clock jitter.
+Sweeps run serially, one decomposition after another, so each point's
+run time is measured without contention from other points.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from statistics import mean
 from collections.abc import Iterable, Sequence
@@ -122,14 +118,13 @@ def _measure(
 
 
 def _run_one_point(
-    payload: tuple[str, ApplicationGraph, CommunicationLibrary, CostModel, DecompositionConfig],
+    name: str,
+    acg: ApplicationGraph,
+    library: CommunicationLibrary,
+    cost_model: CostModel,
+    config: DecompositionConfig,
 ) -> RuntimePoint:
-    """Decompose one graph and package the measurement.
-
-    Module-level (rather than a closure) so it can be pickled into
-    :class:`~concurrent.futures.ProcessPoolExecutor` workers.
-    """
-    name, acg, library, cost_model, config = payload
+    """Decompose one graph and package the measurement."""
     decomposition, runtime = _measure(acg, library, cost_model, config)
     return RuntimePoint(
         name=name,
@@ -149,25 +144,15 @@ def run_sweep(
     library: CommunicationLibrary | None = None,
     cost_model: CostModel | None = None,
     config: DecompositionConfig | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
 ) -> RuntimeSweepResult:
-    """Decompose every graph and collect one :class:`RuntimePoint` each.
-
-    With ``parallel=True`` each decomposition runs in its own worker process
-    (one graph per task); the points come back in input order either way, so
-    serial and parallel sweeps produce identical results.
-    """
+    """Decompose every graph, in input order, and collect one :class:`RuntimePoint` each."""
     library = library or default_library()
     cost_model = cost_model or LinkCountCostModel()
     config = config or default_sweep_config()
-    payloads = [(name, acg, library, cost_model, config) for name, acg in named_graphs]
     result = RuntimeSweepResult()
-    if parallel and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            result.points.extend(pool.map(_run_one_point, payloads))
-    else:
-        result.points.extend(_run_one_point(payload) for payload in payloads)
+    result.points.extend(
+        _run_one_point(name, acg, library, cost_model, config) for name, acg in named_graphs
+    )
     return result
 
 
@@ -195,8 +180,6 @@ def run_tgff_runtime_sweep(
     library: CommunicationLibrary | None = None,
     config: DecompositionConfig | None = None,
     seed: int = 7,
-    parallel: bool = False,
-    max_workers: int | None = None,
 ) -> RuntimeSweepResult:
     """Figure 4a: run time over TGFF-style task graphs up to the 18-node case."""
     named = [
@@ -208,8 +191,6 @@ def run_tgff_runtime_sweep(
         library=library,
         cost_model=LinkCountCostModel(),
         config=config,
-        parallel=parallel,
-        max_workers=max_workers,
     )
 
 
@@ -220,8 +201,6 @@ def run_pajek_runtime_sweep(
     library: CommunicationLibrary | None = None,
     config: DecompositionConfig | None = None,
     seed: int = 11,
-    parallel: bool = False,
-    max_workers: int | None = None,
 ) -> RuntimeSweepResult:
     """Figure 4b: average run time over Pajek-style random graphs (10-40 nodes)."""
     named = [
@@ -238,6 +217,4 @@ def run_pajek_runtime_sweep(
         library=library,
         cost_model=LinkCountCostModel(),
         config=config,
-        parallel=parallel,
-        max_workers=max_workers,
     )

@@ -22,8 +22,6 @@ from repro.io.base import (
     FORMATS,
     GraphFormat,
     detect_format,
-    format_names,
-    get_format,
     register_format,
 )
 
@@ -31,8 +29,6 @@ __all__ = [
     "FORMATS",
     "GraphFormat",
     "detect_format",
-    "format_names",
-    "get_format",
     "register_format",
     "read_workload",
     "write_workload",
@@ -43,7 +39,7 @@ __all__ = [
 
 def _resolve(path: str | Path, fmt: str | None) -> GraphFormat:
     """The format named ``fmt``, or the one claiming ``path``'s extension."""
-    return get_format(fmt) if fmt else detect_format(path)
+    return FORMATS.get(fmt) if fmt else detect_format(path)
 
 
 def read_workload(

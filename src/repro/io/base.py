@@ -56,16 +56,6 @@ def register_format(spec: GraphFormat) -> GraphFormat:
     return FORMATS.register(spec.name, spec)
 
 
-def format_names() -> list[str]:
-    """All registered format names, sorted (after plugin discovery)."""
-    return FORMATS.names()
-
-
-def get_format(name: str) -> GraphFormat:
-    """Look a format up by name (uniform unknown-name errors)."""
-    return FORMATS.get(name)
-
-
 def detect_format(path: str | Path) -> GraphFormat:
     """The format claiming ``path``'s extension.
 

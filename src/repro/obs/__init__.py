@@ -24,8 +24,6 @@ from repro.obs.export import (
     EXPORTERS,
     STAGE_SPAN_NAMES,
     ExporterSpec,
-    exporter_names,
-    get_exporter,
     read_event_log,
     register_exporter,
     render_jsonl,
@@ -81,8 +79,6 @@ __all__ = [
     "EXPORTERS",
     "ExporterSpec",
     "register_exporter",
-    "get_exporter",
-    "exporter_names",
     "render_jsonl",
     "render_prometheus",
     "render_summary",

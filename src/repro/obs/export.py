@@ -58,16 +58,6 @@ def register_exporter(spec: ExporterSpec) -> ExporterSpec:
     return EXPORTERS.register(spec.name, spec)
 
 
-def get_exporter(name: str) -> ExporterSpec:
-    """Look an exporter up by name (uniform unknown-name errors)."""
-    return EXPORTERS.get(name)
-
-
-def exporter_names() -> list[str]:
-    """All registered exporter names, sorted (after plugin discovery)."""
-    return EXPORTERS.names()
-
-
 # ----------------------------------------------------------------------
 # the event log on disk
 # ----------------------------------------------------------------------

@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from importlib import metadata
+from typing import TYPE_CHECKING
 
 from repro.plugins.registry import providing
+
+if TYPE_CHECKING:
+    from importlib import metadata
 
 #: the one entry-point group every extension registers through
 ENTRY_POINT_GROUP = "repro.plugins"
@@ -57,6 +60,10 @@ def discover(force: bool = False) -> list[str]:
     global _discovered, _in_progress
     if (_discovered and not force) or _in_progress:
         return list(_loaded)
+    # imported here, not at module level: importlib.metadata costs more
+    # than the rest of the plugin kernel, and most runs never discover
+    from importlib import metadata
+
     _in_progress = True
     try:
         if force:

@@ -18,15 +18,17 @@ behaviours that used to be hand-rolled (slightly differently) in
   where a name came from.
 
 The kernel deliberately knows nothing about what it stores: the value
-type is a free type parameter.  Some modules wrap their registry in
-``register_*`` / ``get_*`` functions (families, policies, suites); others
-expose the registry itself (libraries, strategies, traffic modes).
+type is a free type parameter.  Every module exposes its registry itself
+as the lookup API (``FAMILIES.get(name)``, ``POLICIES.names()``, ...);
+modules whose entries are specs carrying their own name add a
+``register_*(spec)`` helper (families, policies, suites, formats,
+exporters).
 """
 
 from __future__ import annotations
 
 import difflib
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from typing import Generic, TypeVar
 
 from repro.exceptions import PluginError, UnknownPluginError
@@ -67,14 +69,6 @@ class Registry(Generic[T]):
         self._items[name] = obj
         self._providers[name] = _current_provider()
         return obj
-
-    def decorate(self, name: str) -> Callable[[T], T]:
-        """Decorator form of :meth:`register`: ``@registry.decorate("name")``."""
-
-        def _register(obj: T) -> T:
-            return self.register(name, obj)
-
-        return _register
 
     def unregister(self, name: str) -> T:
         """Remove and return the object registered under ``name``."""
@@ -130,8 +124,7 @@ class Registry(Generic[T]):
     def _run_discovery(self) -> None:
         if not self._discover_enabled:
             return
-        # imported lazily: discovery pulls in importlib.metadata, which is
-        # noticeably slower than this module and unneeded until a lookup
+        # imported here: repro.plugins.discovery imports this module
         from repro.plugins.discovery import discover
 
         discover()

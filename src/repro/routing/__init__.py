@@ -12,8 +12,6 @@ from repro.routing.policies import (
     POLICIES,
     PolicySpec,
     build_policy_table,
-    get_policy,
-    policy_names,
     register_policy,
     supported_policies,
 )
@@ -31,8 +29,6 @@ __all__ = [
     "POLICIES",
     "PolicySpec",
     "register_policy",
-    "policy_names",
-    "get_policy",
     "build_policy_table",
     "supported_policies",
     "bfs_shortest_path",

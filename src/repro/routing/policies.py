@@ -369,33 +369,18 @@ def register_policy(spec: PolicySpec) -> PolicySpec:
     return POLICIES.register(spec.name, spec)
 
 
-def policy_names() -> list[str]:
-    """All registered policy names, sorted (after plugin discovery)."""
-    return POLICIES.names()
-
-
-def get_policy(name: str) -> PolicySpec:
-    """Look a policy up by name.
-
-    Raises :class:`~repro.exceptions.UnknownPluginError` (a
-    :class:`~repro.exceptions.ConfigurationError`) listing the available
-    policies and the nearest match when the name is unknown.
-    """
-    return POLICIES.get(name)
-
-
 def build_policy_table(
     policy: str,
     topology: Topology,
     pairs: Iterable[tuple[NodeId, NodeId]] | None = None,
 ) -> RoutingTable:
     """Compile the named policy into a routing table over ``topology``."""
-    return get_policy(policy).build(topology, pairs)
+    return POLICIES.get(policy).build(topology, pairs)
 
 
 def supported_policies(topology: Topology) -> list[str]:
     """Names of every registered policy applicable to ``topology``."""
-    return [name for name in policy_names() if POLICIES.get(name).supports(topology)]
+    return [name for name in POLICIES.names() if POLICIES.get(name).supports(topology)]
 
 
 def _next_hop_builder(next_hop: NextHopFunction):

@@ -5,14 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.arch.families import (
+    FAMILIES,
     FatTreeTopology,
     LongRangeMeshTopology,
     RingTopology,
     SpidergonTopology,
     TorusTopology,
     build_fabric,
-    family_names,
-    get_family,
     infrastructure_router,
     most_square_grid,
 )
@@ -21,7 +20,7 @@ from repro.exceptions import ConfigurationError, SynthesisError
 
 
 def _padded_ids(family: str, cores: int) -> list:
-    spec = get_family(family)
+    spec = FAMILIES.get(family)
     total = spec.padded_size(cores)
     return list(range(1, cores + 1)) + [f"__pad{i}" for i in range(total - cores)]
 
@@ -29,32 +28,32 @@ def _padded_ids(family: str, cores: int) -> list:
 class TestRegistry:
     def test_builtin_families_registered(self):
         assert {"mesh", "torus", "ring", "spidergon", "fat_tree", "long_range_mesh"} <= set(
-            family_names()
+            FAMILIES.names()
         )
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigurationError):
-            get_family("hypercube")
+            FAMILIES.get("hypercube")
 
     def test_padded_sizes_are_fixed_points(self):
         """Padding an already-padded count must not grow it again."""
-        for family in family_names():
-            spec = get_family(family)
+        for family in FAMILIES.names():
+            spec = FAMILIES.get(family)
             for count in range(1, 30):
                 padded = spec.padded_size(count)
                 assert spec.padded_size(padded) == padded
 
     def test_build_rejects_unpadded_node_lists(self):
         with pytest.raises(SynthesisError):
-            get_family("mesh").build(list(range(10)))  # 10 cores need a 3x4 grid
+            FAMILIES.get("mesh").build(list(range(10)))  # 10 cores need a 3x4 grid
 
     def test_every_family_is_strongly_connected(self):
-        for family in family_names():
+        for family in FAMILIES.names():
             fabric = build_fabric(family, _padded_ids(family, 16))
             assert is_strongly_connected(fabric), family
 
     def test_builders_are_deterministic(self):
-        for family in family_names():
+        for family in FAMILIES.names():
             ids = _padded_ids(family, 13)
             first = build_fabric(family, ids)
             second = build_fabric(family, ids)

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -161,3 +162,30 @@ class TestCliMisuse:
         ]) == 2
         assert "--workers" in self._one_error_line(capsys)
         assert not results.exists()
+
+    def test_unknown_technology_rejected_before_any_evaluation(self, tmp_path, capsys):
+        """A technology typo fails at plan time, with the registry's
+        suggestion, before the AES decomposition runs or writes its stage
+        artifact."""
+        results = tmp_path / "results.jsonl"
+        assert main([
+            "run", "--suite", "embedded", "--axis", "architecture=custom",
+            "--axis", "technology=fpga_virtex", "--results", str(results),
+        ]) == 2
+        assert "did you mean 'fpga_virtex2'" in self._one_error_line(capsys)
+        assert not results.exists()
+        assert not (tmp_path / "stage_artifacts").exists()
+
+    @pytest.mark.parametrize(
+        "command,own_flags",
+        [("run", set()), ("search", {"--rung", "--margin", "--seed"})],
+    )
+    def test_grid_axes_have_one_spelling(self, command, own_flags, capsys):
+        """Every grid axis (topology, routing policy, engine, ...) is set
+        through ``--axis``; no flag is a second spelling of one."""
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        shared = {"--help", "--suite", "--results", "--artifacts", "--no-artifacts",
+                  "--parallel", "--workers", "--axis", "--trace"}
+        assert flags == shared | own_flags

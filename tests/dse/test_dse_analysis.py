@@ -294,8 +294,8 @@ class TestCommandLine:
     def test_run_with_fabric_flags(self, tmp_path, capsys):
         results = tmp_path / "results.jsonl"
         assert main(["run", "--suite", "fabrics", "--results", str(results),
-                     "--topology", "mesh,torus,ring",
-                     "--routing-policy", "xy,up_down"]) == 0
+                     "--axis", "topology=mesh,torus,ring",
+                     "--axis", "routing_policy=xy,up_down"]) == 0
         out = capsys.readouterr().out
         # 2 scenarios x 3 topologies x 2 policies = 12 cells; ring+xy fails
         assert "12 cells" in out

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.dse.pipeline import (
@@ -23,7 +26,8 @@ from repro.dse.scenarios import (
     planted_scenario,
     tgff_scenario,
 )
-from repro.exceptions import ConfigurationError
+from repro.dse.search import run_search
+from repro.exceptions import ConfigurationError, UnknownPluginError
 
 
 class TestEvaluationSettings:
@@ -132,10 +136,10 @@ class TestBaselineMesh:
 
 class TestBaselineFabric:
     def test_every_family_builds_from_an_acg(self):
-        from repro.arch.families import family_names
+        from repro.arch.families import FAMILIES
 
         acg = tgff_scenario(num_tasks=10, seed=7).acg
-        for family in family_names():
+        for family in FAMILIES.names():
             fabric = build_baseline_fabric(acg, family=family)
             for node in acg.nodes():
                 assert fabric.has_router(node), (family, node)
@@ -276,12 +280,15 @@ class TestEvaluate:
 
     def test_caller_bugs_still_raise(self):
         """Workload failures are data; misconfiguration is an exception —
-        a typo'd technology must not be cached as a simulation failure."""
-        from repro.exceptions import EnergyModelError
-
+        a typo'd technology must not be cached as a simulation failure.
+        Settings reject it when built, with the nearest known name; a
+        scenario pin carrying it raises out of evaluate."""
+        with pytest.raises(UnknownPluginError, match="did you mean 'fpga_virtex2'"):
+            EvaluationSettings(architecture="mesh", technology="fpga_virtex")
         scenario = embedded_scenario("vopd")
-        with pytest.raises(EnergyModelError):
-            evaluate(scenario, EvaluationSettings(architecture="mesh", technology="bogus"))
+        scenario.settings_overrides = {"technology": "bogus"}
+        with pytest.raises(UnknownPluginError):
+            evaluate(scenario, EvaluationSettings(architecture="mesh"))
 
     def test_record_json_round_trip(self):
         record = evaluate(
@@ -296,3 +303,30 @@ class TestEvaluate:
         assert clone.metrics == record.metrics
         assert clone.cache_key == "abc123"
         assert clone.axes == {"architecture": "mesh"}
+
+    def test_to_json_matches_the_deep_asdict_serialization(self):
+        """``to_json`` serializes a shallow field dict; the deep
+        ``dataclasses.asdict`` copy it replaced is the oracle, byte for byte,
+        on a custom cell (nested search statistics, stage provenance and
+        timings) and on guided-search records."""
+
+        def oracle(record: EvaluationRecord) -> str:
+            payload = dataclasses.asdict(record)
+            payload.pop("from_cache", None)
+            return json.dumps(payload, sort_keys=True)
+
+        custom = evaluate(
+            planted_scenario(num_nodes=12, seed=11),
+            EvaluationSettings(architecture="custom"),
+            cache_key="abc123",
+            config_label="arch=custom",
+            axes={"architecture": "custom"},
+        )
+        assert custom.search_statistics["branches_pruned_by"]
+        assert custom.stage_reuse and custom.stage_seconds
+        searched = run_search(
+            [aes_scenario()], axes={"architecture": ("mesh", "custom")}
+        ).records
+        assert searched and all(record.search for record in searched)
+        for record in [custom, *searched]:
+            assert record.to_json() == oracle(record)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dse import get_suite, pareto_front, run_cells
+from repro.dse import SUITES, pareto_front, run_cells
 from repro.dse.cache import ResultCache, decomposition_stage_key
 from repro.dse.records import EvaluationRecord
 from repro.dse.runner import plan_sweep
@@ -29,7 +29,7 @@ AXES = {
 
 @pytest.fixture(scope="module")
 def smoke():
-    spec = get_suite("smoke")
+    spec = SUITES.get("smoke")
     return spec.build(), spec.base_settings
 
 
@@ -127,8 +127,6 @@ class TestSearchConfig:
             SearchConfig(ladder=(RungSpec("only", simulation_cap=1),))
         with pytest.raises(ConfigurationError):
             SearchConfig(margin=-0.1)
-        with pytest.raises(ConfigurationError):
-            SearchConfig(max_promotions=0)
 
     def test_default_ladder_shape(self):
         ladder = default_ladder(use_batch_engine=False)
@@ -253,15 +251,6 @@ class TestRunSearch:
         assert _fronts_by_scenario(a.front_records()) == _fronts_by_scenario(
             b.front_records()
         )
-
-    def test_max_promotions_caps_each_rung(self, smoke):
-        scenarios, base = smoke
-        result = run_search(
-            scenarios, base, AXES, config=SearchConfig(max_promotions=1)
-        )
-        for count in result.promoted.values():
-            assert count <= len(scenarios)  # one design point per scenario
-        assert result.top_rung_evaluations <= len(scenarios)
 
     def test_cached_records_carry_search_provenance(self, smoke, tmp_path):
         scenarios, base = smoke

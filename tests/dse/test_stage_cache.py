@@ -144,7 +144,7 @@ class TestSubKeyDerivation:
 class TestStageArtifactStore:
     def test_round_trip_preserves_the_decomposition(self, tmp_path):
         settings = EvaluationSettings(architecture="custom")
-        decomposition = run_decomposition_search(SCENARIO, settings)
+        decomposition = run_decomposition_search(SCENARIO, settings, settings.build_library())
         store = StageArtifactStore(tmp_path)
         key = decomposition_stage_key(SCENARIO, settings)
         store.store_decomposition(key, decomposition)
@@ -172,7 +172,7 @@ class TestStageArtifactStore:
 
     def test_stale_artifact_is_rejected_by_cost_check(self, tmp_path):
         settings = EvaluationSettings(architecture="custom")
-        decomposition = run_decomposition_search(SCENARIO, settings)
+        decomposition = run_decomposition_search(SCENARIO, settings, settings.build_library())
         payload = serialize_decomposition(decomposition)
         payload["total_cost"] = float(payload["total_cost"]) + 1.0
         assert (
@@ -182,7 +182,7 @@ class TestStageArtifactStore:
 
     def test_artifact_against_wrong_workload_is_rejected(self, tmp_path):
         settings = EvaluationSettings(architecture="custom")
-        decomposition = run_decomposition_search(SCENARIO, settings)
+        decomposition = run_decomposition_search(SCENARIO, settings, settings.build_library())
         payload = serialize_decomposition(decomposition)
         other = planted_scenario(num_nodes=12, seed=11)
         assert (
@@ -204,6 +204,32 @@ class TestStageContext:
         from_disk, provenance = StageContext(store).decomposition_for(SCENARIO, settings)
         assert provenance == STAGE_REUSED_STORE
         assert from_disk.total_cost == first.total_cost
+
+    def test_one_library_build_per_memo_miss(self, tmp_path):
+        """A memo miss builds one library, shared by the artifact load and
+        the search; a memo hit builds none."""
+        from repro.core.library import default_library
+        from repro.dse.pipeline import LIBRARIES
+
+        builds = []
+
+        def counting_library():
+            builds.append(None)
+            return default_library()
+
+        LIBRARIES.register("counting", counting_library)
+        try:
+            settings = EvaluationSettings(architecture="custom", library="counting")
+            store = StageArtifactStore(tmp_path)
+            context = StageContext(store)
+            _, provenance = context.decomposition_for(SCENARIO, settings)
+            assert provenance == STAGE_COMPUTED and len(builds) == 1
+            _, provenance = context.decomposition_for(SCENARIO, settings)
+            assert provenance == STAGE_REUSED_MEMORY and len(builds) == 1
+            _, provenance = StageContext(store).decomposition_for(SCENARIO, settings)
+            assert provenance == STAGE_REUSED_STORE and len(builds) == 2
+        finally:
+            LIBRARIES.unregister("counting")
 
     def test_evaluate_records_stage_provenance(self):
         settings = EvaluationSettings(architecture="custom")

@@ -8,21 +8,20 @@ from repro.energy import (
     BitEnergyModel,
     EnergyAccount,
     LinkEnergyModel,
+    TECHNOLOGIES,
     Technology,
-    available_technologies,
     energy_per_block_from_power,
-    get_technology,
 )
 from repro.energy.technology import CMOS_100NM, CMOS_180NM, FPGA_VIRTEX2
-from repro.exceptions import EnergyModelError
+from repro.exceptions import EnergyModelError, UnknownPluginError
 
 
 class TestTechnology:
     def test_catalogue_lookup(self):
-        assert "fpga_virtex2" in available_technologies()
-        assert get_technology("cmos_180nm") is CMOS_180NM
-        with pytest.raises(EnergyModelError):
-            get_technology("nonexistent")
+        assert "fpga_virtex2" in TECHNOLOGIES.names()
+        assert TECHNOLOGIES.get("cmos_180nm") is CMOS_180NM
+        with pytest.raises(UnknownPluginError):
+            TECHNOLOGIES.get("nonexistent")
 
     def test_cycle_time(self):
         assert FPGA_VIRTEX2.cycle_time_ns == pytest.approx(10.0)  # 100 MHz

@@ -16,7 +16,7 @@ routing policy:
 Nothing inside ``src/repro/`` knows this module exists: discovery runs
 through ``importlib.metadata`` entry points, which is exactly what the
 acceptance criterion demonstrates end to end via
-``python -m repro.dse run --topology toy_star --routing-policy toy_hub``.
+``python -m repro.dse run --axis topology=toy_star --axis routing_policy=toy_hub``.
 """
 
 from __future__ import annotations

@@ -12,15 +12,13 @@ import dataclasses
 
 import pytest
 
-from repro.arch.families import FAMILIES, get_family, pad_node_ids
+from repro.arch.families import FAMILIES, pad_node_ids
 from repro.dse.pipeline import Scenario
 from repro.dse.scenarios import SUITES, build_suite
 from repro.exceptions import WorkloadError
 from repro.io import (
     FORMATS,
     detect_format,
-    format_names,
-    get_format,
     read_topology,
     read_workload,
     write_topology,
@@ -51,7 +49,7 @@ class TestWorkloadRoundTrip:
     @pytest.mark.parametrize("fmt", BUILTIN_FORMATS)
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
     def test_scenario_acg_roundtrips(self, scenario, fmt, tmp_path):
-        spec = get_format(fmt)
+        spec = FORMATS.get(fmt)
         path = tmp_path / f"graph{spec.extensions[0]}"
         write_workload(scenario.acg, path, fmt=fmt)
         back = read_workload(path, fmt=fmt)
@@ -59,7 +57,7 @@ class TestWorkloadRoundTrip:
 
     @pytest.mark.parametrize("fmt", BUILTIN_FORMATS)
     def test_extension_detection_picks_the_writer_back_up(self, fmt, tmp_path):
-        spec = get_format(fmt)
+        spec = FORMATS.get(fmt)
         scenario = SCENARIOS[0]
         path = tmp_path / f"graph{spec.extensions[0]}"
         write_workload(scenario.acg, path)  # format detected from extension
@@ -72,38 +70,38 @@ class TestTopologyRoundTrip:
     @pytest.mark.parametrize("fmt", BUILTIN_FORMATS)
     @pytest.mark.parametrize("family", BUILTIN_FAMILIES)
     def test_family_fabric_roundtrips(self, family, fmt, tmp_path):
-        spec = get_family(family)
+        spec = FAMILIES.get(family)
         fabric = spec.build(pad_node_ids(spec, range(1, 17)), tile_pitch_mm=1.75)
-        path = tmp_path / f"fabric{get_format(fmt).extensions[0]}"
+        path = tmp_path / f"fabric{FORMATS.get(fmt).extensions[0]}"
         write_topology(fabric, path, fmt=fmt)
         back = read_topology(path, fmt=fmt)
         assert back.signature() == fabric.signature()
 
     @pytest.mark.parametrize("fmt", BUILTIN_FORMATS)
     def test_flit_width_survives(self, fmt, tmp_path):
-        spec = get_family("mesh")
+        spec = FAMILIES.get("mesh")
         fabric = spec.build(pad_node_ids(spec, range(1, 5)), flit_width_bits=64)
-        path = tmp_path / f"fabric{get_format(fmt).extensions[0]}"
+        path = tmp_path / f"fabric{FORMATS.get(fmt).extensions[0]}"
         write_topology(fabric, path, fmt=fmt)
         assert read_topology(path, fmt=fmt).flit_width_bits == 64
 
 
 class TestFormatRegistry:
     def test_builtin_formats_registered(self):
-        assert set(BUILTIN_FORMATS) <= set(format_names())
+        assert set(BUILTIN_FORMATS) <= set(FORMATS.names())
 
     def test_every_format_claims_disjoint_extensions(self):
         claimed: dict[str, str] = {}
-        for name in format_names():
-            for extension in get_format(name).extensions:
+        for name in FORMATS.names():
+            for extension in FORMATS.get(name).extensions:
                 assert extension not in claimed, (
                     f"{extension} claimed by both {claimed[extension]} and {name}"
                 )
                 claimed[extension] = name
 
     def test_formats_are_complete_specs(self):
-        for name in format_names():
-            spec = get_format(name)
+        for name in FORMATS.names():
+            spec = FORMATS.get(name)
             for field in ("read_workload", "write_workload", "read_topology", "write_topology"):
                 assert callable(getattr(spec, field)), (name, field)
 
@@ -144,6 +142,6 @@ class TestMalformedInputs:
 
 class TestDataclassShape:
     def test_graphformat_is_frozen(self):
-        spec = get_format("pajek")
+        spec = FORMATS.get("pajek")
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.name = "other"

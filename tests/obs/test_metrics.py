@@ -12,8 +12,6 @@ from repro.obs import (
     ExporterSpec,
     Histogram,
     MetricsRegistry,
-    exporter_names,
-    get_exporter,
     register_exporter,
     render_jsonl,
     render_prometheus,
@@ -107,13 +105,13 @@ class TestSnapshotAndIngest:
 
 class TestExporters:
     def test_builtins_registered(self):
-        names = exporter_names()
+        names = EXPORTERS.names()
         for name in ("jsonl", "prometheus", "summary"):
             assert name in names
 
     def test_unknown_exporter_uniform_error_with_suggestion(self):
         with pytest.raises(UnknownPluginError) as excinfo:
-            get_exporter("promethus")
+            EXPORTERS.get("promethus")
         message = str(excinfo.value)
         assert "unknown metrics exporter 'promethus'" in message
         assert "did you mean 'prometheus'?" in message
@@ -126,7 +124,7 @@ class TestExporters:
         )
         register_exporter(spec)
         try:
-            assert get_exporter("test_count").render([{"type": "metric"}] * 3) == "3"
+            assert EXPORTERS.get("test_count").render([{"type": "metric"}] * 3) == "3"
         finally:
             EXPORTERS.unregister("test_count")
 

@@ -42,33 +42,33 @@ def toy_plugin():
 
 class TestDiscovery:
     def test_family_and_policy_arrive_via_entry_points(self, toy_plugin):
-        from repro.arch.families import FAMILIES, get_family, pad_node_ids
+        from repro.arch.families import FAMILIES, pad_node_ids
         from repro.arch.metrics import is_strongly_connected
         from repro.plugins import discover, discovered_plugins, plugin_failures
-        from repro.routing.policies import get_policy
+        from repro.routing.policies import POLICIES
 
         discover(force=True)
         assert "toy" in discovered_plugins()
         assert plugin_failures() == []
 
-        spec = get_family("toy_star")
+        spec = FAMILIES.get("toy_star")
         assert FAMILIES.provider("toy_star") == "repro-toy-plugin"
         fabric = spec.build(pad_node_ids(spec, range(1, 9)))
         assert is_strongly_connected(fabric)
 
-        table = get_policy("toy_hub").build(fabric)
+        table = POLICIES.get("toy_hub").build(fabric)
         assert table.route(1, 5) == [1, "__hub0", 5]
 
     def test_lookup_miss_triggers_discovery(self, toy_plugin):
-        from repro.arch.families import get_family
+        from repro.arch.families import FAMILIES
 
         # no explicit discover() call: the miss on 'toy_star' must run it
-        assert get_family("toy_star").name == "toy_star"
+        assert FAMILIES.get("toy_star").name == "toy_star"
 
     def test_names_listing_triggers_discovery(self, toy_plugin):
-        from repro.routing.policies import policy_names
+        from repro.routing.policies import POLICIES
 
-        assert "toy_hub" in policy_names()
+        assert "toy_hub" in POLICIES.names()
 
     def test_discovery_is_idempotent(self, toy_plugin):
         from repro.plugins import discover, discovered_plugins
@@ -109,7 +109,7 @@ class TestDiscovery:
 
 class TestEndToEnd:
     def test_cli_sweeps_plugin_fabric(self, tmp_path):
-        """`run --topology toy_star --routing-policy toy_hub` end to end,
+        """`run --axis topology=toy_star --axis routing_policy=toy_hub` end to end,
         with the plugin present only through its entry point."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -123,10 +123,10 @@ class TestEndToEnd:
                 "run",
                 "--suite",
                 f"file:{REPO_ROOT / 'examples' / 'graphs' / 'pipeline8.net'}",
-                "--topology",
-                "toy_star",
-                "--routing-policy",
-                "toy_hub",
+                "--axis",
+                "topology=toy_star",
+                "--axis",
+                "routing_policy=toy_hub",
                 "--axis",
                 "architecture=mesh",
                 "--results",

@@ -30,13 +30,6 @@ class TestKernel:
         registry.register("alpha", 10)
         assert registry.get("alpha") == 10
 
-    def test_decorator_form(self, registry):
-        @registry.decorate("fn")
-        def fn():
-            return 42
-
-        assert registry.get("fn") is fn
-
     def test_unregister(self, registry):
         registry.register("alpha", 1)
         assert registry.unregister("alpha") == 1
@@ -93,23 +86,29 @@ class TestUniformErrorsAcrossCallSites:
         ("library", "defualt", "default", "default"),
         ("strategy", "greedyy", "greedy", "greedy"),
         ("traffic", "agc", "acg", "acg"),
+        ("technology", "fpga_virtx2", "fpga_virtex2", "fpga_virtex2"),
+        ("exporter", "promethus", "prometheus", "prometheus"),
     ]
 
     def _lookup(self, kind):
-        from repro.arch.families import get_family
+        from repro.arch.families import FAMILIES
         from repro.dse.pipeline import LIBRARIES, STRATEGIES, TRAFFIC_MODES
-        from repro.dse.scenarios import get_suite
-        from repro.io import get_format
-        from repro.routing.policies import get_policy
+        from repro.dse.scenarios import SUITES
+        from repro.energy.technology import TECHNOLOGIES
+        from repro.io import FORMATS
+        from repro.obs import EXPORTERS
+        from repro.routing.policies import POLICIES
 
         return {
-            "family": get_family,
-            "policy": get_policy,
-            "suite": get_suite,
-            "format": get_format,
+            "family": FAMILIES.get,
+            "policy": POLICIES.get,
+            "suite": SUITES.get,
+            "format": FORMATS.get,
             "library": LIBRARIES.get,
             "strategy": STRATEGIES.get,
             "traffic": TRAFFIC_MODES.get,
+            "technology": TECHNOLOGIES.get,
+            "exporter": EXPORTERS.get,
         }[kind]
 
     @pytest.mark.parametrize("kind,bad,known,suggestion", CASES)
@@ -134,6 +133,8 @@ class TestUniformErrorsAcrossCallSites:
             EvaluationSettings(strategy="branch_and_bound", library="nope")
         with pytest.raises(UnknownPluginError):
             EvaluationSettings(strategy="nope")
+        with pytest.raises(UnknownPluginError):
+            EvaluationSettings(technology="nope")
 
     def test_detect_format_unknown_extension(self, tmp_path):
         from repro.io import detect_format

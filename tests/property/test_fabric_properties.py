@@ -20,23 +20,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.families import family_names, get_family, pad_node_ids
+from repro.arch.families import FAMILIES, pad_node_ids
 from repro.routing.deadlock import build_channel_dependency_graph
-from repro.routing.policies import get_policy, policy_names
+from repro.routing.policies import POLICIES
 from repro.routing.shortest_path import bfs_shortest_path
 
 
 def _build(family: str, cores: int):
-    spec = get_family(family)
+    spec = FAMILIES.get(family)
     return spec.build(pad_node_ids(spec, range(1, cores + 1)))
 
 
 def _supported_pairs() -> list[tuple[str, str]]:
     pairs = []
-    for family in family_names():
+    for family in FAMILIES.names():
         probe = _build(family, 12)
-        for policy in policy_names():
-            if get_policy(policy).supports(probe):
+        for policy in POLICIES.names():
+            if POLICIES.get(policy).supports(probe):
                 pairs.append((family, policy))
     return pairs
 
@@ -50,7 +50,7 @@ CORES = st.integers(min_value=4, max_value=18)
 @settings(max_examples=8, deadline=None)
 def test_routes_are_valid_terminating_walks(family: str, policy: str, cores: int):
     fabric = _build(family, cores)
-    spec = get_policy(policy)
+    spec = POLICIES.get(policy)
     if not spec.supports(fabric):  # tiny instances may change the class shape
         return
     table = spec.build(fabric)
@@ -71,14 +71,14 @@ def test_routes_are_valid_terminating_walks(family: str, policy: str, cores: int
     [
         (family, policy)
         for family, policy in SUPPORTED_PAIRS
-        if family in get_policy(policy).minimal_families
+        if family in POLICIES.get(policy).minimal_families
     ],
 )
 @given(cores=CORES)
 @settings(max_examples=8, deadline=None)
 def test_minimal_policies_match_bfs_hop_counts(family: str, policy: str, cores: int):
     fabric = _build(family, cores)
-    spec = get_policy(policy)
+    spec = POLICIES.get(policy)
     if not spec.supports(fabric):
         return
     table = spec.build(fabric)
@@ -97,7 +97,7 @@ def test_minimal_policies_match_bfs_hop_counts(family: str, policy: str, cores: 
     [
         (family, policy)
         for family, policy in SUPPORTED_PAIRS
-        if get_policy(policy).deadlock_free_by_construction
+        if POLICIES.get(policy).deadlock_free_by_construction
     ],
 )
 @given(cores=CORES)
@@ -106,7 +106,7 @@ def test_by_construction_policies_have_acyclic_cdgs(
     family: str, policy: str, cores: int
 ):
     fabric = _build(family, cores)
-    spec = get_policy(policy)
+    spec = POLICIES.get(policy)
     if not spec.supports(fabric):
         return
     table = spec.build(fabric)

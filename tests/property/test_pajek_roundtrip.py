@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import ApplicationGraph
-from repro.io import get_format, read_workload, write_workload
+from repro.io import FORMATS, read_workload, write_workload
 from repro.workloads import embedded_benchmark_acg, embedded_benchmark_names
 
 # names may contain spaces, quotes-adjacent punctuation and digits, but no
@@ -67,7 +67,7 @@ def _content(acg):
 
 
 def _roundtrip(acg, fmt, tmp_path):
-    path = tmp_path / f"graph{get_format(fmt).extensions[0]}"
+    path = tmp_path / f"graph{FORMATS.get(fmt).extensions[0]}"
     write_workload(acg, path, fmt=fmt)
     return read_workload(path, fmt=fmt)
 

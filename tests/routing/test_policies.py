@@ -15,12 +15,7 @@ from repro.arch.mesh import MeshTopology
 from repro.arch.topology import Topology
 from repro.exceptions import ConfigurationError, RoutingError
 from repro.routing.deadlock import analyze_deadlock
-from repro.routing.policies import (
-    build_policy_table,
-    get_policy,
-    policy_names,
-    supported_policies,
-)
+from repro.routing.policies import POLICIES, build_policy_table, supported_policies
 from repro.routing.xy import build_xy_routing_table
 
 
@@ -39,11 +34,11 @@ class TestRegistry:
             "dateline",
             "up_down",
             "shortest_path",
-        } <= set(policy_names())
+        } <= set(POLICIES.names())
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError):
-            get_policy("fully_adaptive")
+            POLICIES.get("fully_adaptive")
 
     def test_supported_policies_per_family(self):
         assert "xy" in supported_policies(MeshTopology(4, 4))

@@ -38,6 +38,24 @@ class TestImportBudget:
             f"import repro.api eagerly imported: {result.stdout.strip()}"
         )
 
+    def test_cli_import_skips_entry_point_metadata(self):
+        """Plugin discovery (and with it ``importlib.metadata``) waits for a
+        registry miss or listing, so importing the CLI must not load it.
+        ``-S`` keeps the ``site`` machinery from importing it first."""
+        script = (
+            "import sys; import repro.dse.__main__; "
+            "print('importlib.metadata' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(REPO_SRC)},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_access_pulls_heavy_modules_on_demand(self):
         """The same names do resolve — lazily — after attribute access."""
         script = (
@@ -78,9 +96,9 @@ class TestFacadeSurface:
     def test_resolution_is_cached(self):
         import repro.api as api
 
-        first = api.get_family
-        assert "get_family" in vars(api)  # cached into module globals
-        assert api.get_family is first
+        first = api.FAMILIES
+        assert "FAMILIES" in vars(api)  # cached into module globals
+        assert api.FAMILIES is first
 
     def test_core_flow_through_facade(self):
         from repro import api
