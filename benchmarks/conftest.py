@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import time  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 
-from repro.arch.mesh import build_mesh  # noqa: E402
+from repro.arch.mesh import MeshTopology  # noqa: E402
 from repro.experiments.aes_experiment import run_aes_synthesis  # noqa: E402
 from repro.experiments.comparison import run_prototype_comparison  # noqa: E402
 from repro.noc.simulator import (  # noqa: E402
@@ -30,7 +30,7 @@ from repro.noc.simulator import (  # noqa: E402
     NoCSimulator,
     SimulatorConfig,
 )
-from repro.routing.xy import xy_routing_function  # noqa: E402
+from repro.routing.policies import POLICIES  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -95,8 +95,8 @@ def engine_duel(aes_synthesis_session):
 
     def fabric_parts(fabric):
         if fabric == "mesh":
-            mesh = build_mesh(4, 4)
-            return mesh, xy_routing_function(mesh)
+            mesh = MeshTopology(4, 4)
+            return mesh, POLICIES.get("xy").build(mesh).frozen_next_hop()
         architecture = aes_synthesis_session.architecture
         return architecture.topology, architecture.routing_table.frozen_next_hop()
 

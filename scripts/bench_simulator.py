@@ -57,7 +57,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.arch.mesh import build_mesh  # noqa: E402
+from repro.arch.mesh import MeshTopology  # noqa: E402
 from repro.experiments.comparison import default_simulator_config  # noqa: E402
 from repro.noc.simulator import (  # noqa: E402
     ENGINE_BATCH,
@@ -72,7 +72,7 @@ from repro.noc.traffic import (  # noqa: E402
     uniform_random_messages,
 )
 from repro.obs import NULL_SESSION, SimulatorProbe, use_session  # noqa: E402
-from repro.routing.xy import xy_routing_function  # noqa: E402
+from repro.routing.policies import POLICIES  # noqa: E402
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
 
@@ -110,8 +110,8 @@ def available_engines() -> tuple[str, ...]:
 
 
 def mesh_fabric():
-    mesh = build_mesh(4, 4)
-    return mesh, xy_routing_function(mesh)
+    mesh = MeshTopology(4, 4)
+    return mesh, POLICIES.get("xy").build(mesh).frozen_next_hop()
 
 
 def aes_fabric():

@@ -17,7 +17,7 @@ from repro.arch.families import (
     pad_node_ids,
     register_family,
 )
-from repro.arch.mesh import MeshCoordinates, MeshTopology, build_mesh
+from repro.arch.mesh import MeshCoordinates, MeshTopology
 from repro.arch.metrics import (
     BisectionResult,
     TopologyReport,
@@ -36,7 +36,6 @@ __all__ = [
     "Channel",
     "MeshTopology",
     "MeshCoordinates",
-    "build_mesh",
     "CustomTopology",
     "ChannelOrigin",
     "FamilySpec",

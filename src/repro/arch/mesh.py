@@ -3,7 +3,7 @@
 The AES prototype of Section 5.2 uses a 4x4 mesh of identical nodes; this
 module generates k x m meshes with configurable tile pitch (which determines
 link lengths and therefore link energy) and provides the row/column helpers
-the XY routing function needs.
+the dimension-ordered routing policies need.
 """
 
 from __future__ import annotations
@@ -111,20 +111,3 @@ class MeshTopology(Topology):
         return abs(source_coords.row - target_coords.row) + abs(
             source_coords.column - target_coords.column
         )
-
-
-def build_mesh(
-    rows: int,
-    columns: int,
-    tile_pitch_mm: float = 2.0,
-    flit_width_bits: int = 32,
-    node_ids: Sequence[NodeId] | None = None,
-) -> MeshTopology:
-    """Convenience constructor mirroring :class:`MeshTopology`."""
-    return MeshTopology(
-        rows=rows,
-        columns=columns,
-        tile_pitch_mm=tile_pitch_mm,
-        flit_width_bits=flit_width_bits,
-        node_ids=node_ids,
-    )

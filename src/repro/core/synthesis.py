@@ -141,18 +141,13 @@ class TopologySynthesizer:
             return acg.link_length(source, target)
         return DEFAULT_LINK_LENGTH_MM
 
-    # ------------------------------------------------------------------
-    # full flow
-    # ------------------------------------------------------------------
-    def synthesize(
-        self, acg: ApplicationGraph, decomposition: DecompositionResult
+    def route(
+        self, acg: ApplicationGraph, decomposition: DecompositionResult, topology: CustomTopology
     ) -> SynthesizedArchitecture:
-        """Topology + routing + constraint and deadlock checks."""
-        topology = self.build_topology(acg, decomposition)
+        """Routing table + constraint and deadlock checks over a built topology."""
         table = build_routing_table(
             decomposition, topology, fill_all_pairs=self.options.fill_all_pairs_routing
         )
-
         return SynthesizedArchitecture(
             acg=acg,
             decomposition=decomposition,
@@ -161,6 +156,15 @@ class TopologySynthesizer:
             constraint_report=ConstraintChecker(self.constraints).check(topology, table, acg),
             deadlock_report=analyze_deadlock(table, acg.edges()),
         )
+
+    # ------------------------------------------------------------------
+    # full flow
+    # ------------------------------------------------------------------
+    def synthesize(
+        self, acg: ApplicationGraph, decomposition: DecompositionResult
+    ) -> SynthesizedArchitecture:
+        """Topology + routing + constraint and deadlock checks."""
+        return self.route(acg, decomposition, self.build_topology(acg, decomposition))
 
 
 def synthesize_architecture(

@@ -70,7 +70,6 @@ from repro.dse.pipeline import (
     evaluate,
     route_stage,
     score_stage,
-    simulate_acg_traffic,
     simulate_aes_traffic,
     simulate_stage,
     synthesize_stage,
@@ -136,7 +135,6 @@ __all__ = [
     "Scenario",
     "ArchitectureMetrics",
     "simulate_aes_traffic",
-    "simulate_acg_traffic",
     "build_baseline_fabric",
     "baseline_route_stage",
     "STATUS_OK",

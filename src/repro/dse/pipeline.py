@@ -67,8 +67,6 @@ from repro.core.library import (
     extended_library,
     minimal_library,
 )
-from repro.core.constraints import ConstraintChecker, DesignConstraints
-from repro.core.routing_table import build_routing_table
 from repro.core.synthesis import (
     SynthesisOptions,
     SynthesizedArchitecture,
@@ -346,13 +344,14 @@ class EvaluationSettings:
         """Instantiate the named communication library."""
         return LIBRARIES.get(self.library)()
 
-    def build_synthesis_options(self) -> SynthesisOptions:
-        """The synthesize/route-stage knobs as :class:`SynthesisOptions`."""
-        return SynthesisOptions(
+    def build_synthesizer(self) -> TopologySynthesizer:
+        """The synthesize/route-stage knobs as a :class:`TopologySynthesizer`."""
+        options = SynthesisOptions(
             flit_width_bits=self.flit_width_bits,
             bidirectional_links=self.bidirectional_links,
             fill_all_pairs_routing=self.fill_all_pairs_routing,
         )
+        return TopologySynthesizer(options=options)
 
     def build_simulator_config(self) -> SimulatorConfig:
         """The simulate-stage knobs as a :class:`SimulatorConfig`."""
@@ -397,6 +396,10 @@ class Scenario:
         TRAFFIC_MODES.get(self.traffic)  # raises UnknownPluginError when unknown
         if self.repetitions < 1 or self.aes_blocks < 1:
             raise ConfigurationError("repetitions and aes_blocks must be at least 1")
+        if self.computation_cycles_per_phase < 0:
+            raise ConfigurationError("computation_cycles_per_phase must be non-negative")
+        if self.packet_size_bits < 1:
+            raise ConfigurationError("packet_size_bits must be at least 1")
 
     def effective_settings(self, settings: EvaluationSettings) -> EvaluationSettings:
         """The grid cell's settings with this scenario's pins applied."""
@@ -618,7 +621,9 @@ def _acg_program(
 def _aes_phase_program(blocks: int, computation_cycles_per_phase: int) -> TrafficProgram:
     """Per AES block and encryption phase: schedule it, drain, then idle.
 
-    The idle step is the cores' local-computation allowance.
+    A phase starts only once the previous one has drained, which models the
+    data dependencies between AES rounds.  The idle step is the cores'
+    local-computation allowance; leakage is charged through it.
     """
     if blocks < 1:
         raise ConfigurationError("the comparison needs at least one block")
@@ -717,25 +722,6 @@ def simulate_aes_traffic(
 ) -> ArchitectureMetrics:
     """Run the dependency-aware distributed-AES phases on one architecture."""
     program = _aes_phase_program(blocks, computation_cycles_per_phase)
-    return _replay_program(name, topology, routing, technology, simulator_config, program)
-
-
-def simulate_acg_traffic(
-    name: str,
-    topology: Topology,
-    routing: RoutingFunction,
-    acg: ApplicationGraph,
-    technology: Technology,
-    simulator_config: SimulatorConfig,
-    repetitions: int = 1,
-    packet_size_bits: int = 32,
-) -> ArchitectureMetrics:
-    """Inject the ACG's communication volumes as packet batches and drain.
-
-    Each repetition injects every ACG edge's volume once and runs until the
-    network drains, which models one iteration of the application.
-    """
-    program = _acg_program(acg, repetitions, packet_size_bits)
     return _replay_program(name, topology, routing, technology, simulator_config, program)
 
 
@@ -847,8 +833,7 @@ def synthesize_stage(
     decomposition: DecompositionResult,
 ) -> Topology:
     """Stage 2: instantiate the chosen primitives as a customized topology."""
-    settings = scenario.effective_settings(settings)
-    synthesizer = TopologySynthesizer(options=settings.build_synthesis_options())
+    synthesizer = scenario.effective_settings(settings).build_synthesizer()
     return synthesizer.build_topology(scenario.acg, decomposition)
 
 
@@ -860,28 +845,13 @@ def route_stage(
 ) -> SynthesizedArchitecture:
     """Stage 3: routing table + constraint and deadlock analysis.
 
-    Packages the stage outputs as a
-    :class:`~repro.core.synthesis.SynthesizedArchitecture`, exactly what
-    :func:`repro.core.synthesis.synthesize_architecture` would build in one
-    go — the split exists so the synthesize/route product can be memoized
-    under the synthesis sub-key.
+    :meth:`~repro.core.synthesis.TopologySynthesizer.route`, the second half
+    of :meth:`~repro.core.synthesis.TopologySynthesizer.synthesize` — the
+    split exists so the synthesize/route product can be memoized under the
+    synthesis sub-key.
     """
-    settings = scenario.effective_settings(settings)
-    table = build_routing_table(
-        decomposition, topology, fill_all_pairs=settings.fill_all_pairs_routing
-    )
-    constraint_report = ConstraintChecker(DesignConstraints()).check(
-        topology, table, scenario.acg
-    )
-    deadlock_report = analyze_deadlock(table, scenario.acg.edges())
-    return SynthesizedArchitecture(
-        acg=scenario.acg,
-        decomposition=decomposition,
-        topology=topology,
-        routing_table=table,
-        constraint_report=constraint_report,
-        deadlock_report=deadlock_report,
-    )
+    synthesizer = scenario.effective_settings(settings).build_synthesizer()
+    return synthesizer.route(scenario.acg, decomposition, topology)
 
 
 def simulate_stage(

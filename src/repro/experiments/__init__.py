@@ -19,7 +19,6 @@ from repro.experiments.comparison import (
     PrototypeComparison,
     evaluate_custom,
     evaluate_fabric,
-    evaluate_mesh,
     export_comparison_topologies,
     run_prototype_comparison,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "run_prototype_comparison",
     "export_comparison_topologies",
     "evaluate_fabric",
-    "evaluate_mesh",
     "evaluate_custom",
     "PrototypeComparison",
     "ArchitectureMetrics",

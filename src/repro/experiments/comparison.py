@@ -27,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.arch.families import build_fabric, pad_node_ids
+from repro.aes.acg import build_aes_acg
 from repro.core.synthesis import SynthesizedArchitecture
 from repro.dse.pipeline import (
     AES_BLOCK_SIZE_BITS,
     ArchitectureMetrics,
+    build_baseline_fabric,
     simulate_aes_traffic,
 )
 from repro.energy.technology import FPGA_VIRTEX2, Technology
@@ -83,7 +84,6 @@ __all__ = [
     "PrototypeComparison",
     "default_simulator_config",
     "evaluate_fabric",
-    "evaluate_mesh",
     "evaluate_custom",
     "run_prototype_comparison",
 ]
@@ -167,8 +167,7 @@ def evaluate_fabric(
     :mod:`repro.routing.policies` policy (the policy registry raises
     :class:`~repro.exceptions.RoutingError` for unsupported pairs).
     """
-    node_ids = pad_node_ids(family, range(1, 17))
-    fabric = build_fabric(family, node_ids, tile_pitch_mm=tile_pitch_mm)
+    fabric = build_baseline_fabric(build_aes_acg(), family=family, tile_pitch_mm=tile_pitch_mm)
     table = POLICIES.get(routing_policy).build(fabric)
     config = simulator_config or default_simulator_config()
     return simulate_aes_traffic(
@@ -178,25 +177,6 @@ def evaluate_fabric(
         blocks,
         technology,
         config,
-        computation_cycles_per_phase=computation_cycles_per_phase,
-    )
-
-
-def evaluate_mesh(
-    blocks: int = 4,
-    technology: Technology = FPGA_VIRTEX2,
-    tile_pitch_mm: float = 2.0,
-    simulator_config: SimulatorConfig | None = None,
-    computation_cycles_per_phase: int = DEFAULT_COMPUTATION_CYCLES_PER_PHASE,
-) -> ArchitectureMetrics:
-    """Simulate the 4x4 mesh baseline (XY routing) under AES traffic."""
-    return evaluate_fabric(
-        family="mesh",
-        routing_policy="xy",
-        blocks=blocks,
-        technology=technology,
-        tile_pitch_mm=tile_pitch_mm,
-        simulator_config=simulator_config,
         computation_cycles_per_phase=computation_cycles_per_phase,
     )
 
@@ -241,8 +221,7 @@ def export_comparison_topologies(
     extension = FORMATS.get(fmt).extensions[0]
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    mesh = build_fabric("mesh", pad_node_ids("mesh", range(1, 17)),
-                        tile_pitch_mm=tile_pitch_mm)
+    mesh = build_baseline_fabric(build_aes_acg(), tile_pitch_mm=tile_pitch_mm)
     paths = {
         "mesh": directory / f"mesh{extension}",
         "custom": directory / f"custom{extension}",
@@ -261,7 +240,7 @@ def run_prototype_comparison(
 ) -> PrototypeComparison:
     """The full Section-5.2 comparison: synthesize, then simulate both designs."""
     synthesis = synthesis or run_aes_synthesis()
-    mesh_metrics = evaluate_mesh(
+    mesh_metrics = evaluate_fabric(
         blocks=blocks,
         technology=technology,
         simulator_config=simulator_config,

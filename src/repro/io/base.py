@@ -84,7 +84,3 @@ def parse_number(text: str) -> float:
         return float(text)
     except ValueError as error:
         raise WorkloadError(f"expected a number, got {text!r}") from error
-
-
-def require_positions(graph: ApplicationGraph) -> None:
-    """No-op placeholder kept for symmetry; positions are always optional."""

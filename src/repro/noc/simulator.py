@@ -48,7 +48,7 @@ movable packet changes nothing, so skipping it is exact.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 
 from repro.arch.topology import Topology
@@ -105,9 +105,8 @@ class NoCSimulator:
     """Drives a :class:`~repro.noc.network.Network` to completion.
 
     The public surface (scheduling, :meth:`run`, :meth:`run_until_drained`,
-    :meth:`run_phases`, :meth:`report`) is engine-agnostic; the configured
-    engine only decides *which* cycles are executed, never what happens
-    within one.
+    :meth:`report`) is engine-agnostic; the configured engine only decides
+    *which* cycles are executed, never what happens within one.
     """
 
     def __init__(
@@ -607,44 +606,6 @@ class NoCSimulator:
             if span > 0:
                 self.energy.charge_leakage(self.topology.num_routers, span)
                 self._leakage_charged_until = self.current_cycle
-
-    # ------------------------------------------------------------------
-    # phased execution (dependency-aware workloads such as distributed AES)
-    # ------------------------------------------------------------------
-    def run_phases(
-        self,
-        phases: Sequence[Sequence[Message]],
-        max_cycles_per_phase: int | None = None,
-        computation_cycles_per_phase: int = 0,
-    ) -> list[int]:
-        """Run a sequence of communication phases back to back.
-
-        All messages of a phase are injected simultaneously, and the next
-        phase starts only when the network has drained — which models the
-        data dependencies between computation rounds (e.g. AES rounds: a node
-        cannot start the next round before it received its operands).
-        ``computation_cycles_per_phase`` idles the network after every phase
-        to account for the local computation (e.g. SubBytes / MixColumns
-        arithmetic) that separates communication phases; leakage keeps being
-        charged during those cycles.  With the event engine the idle
-        allowance is analytic — the clock jumps over it — while the
-        reference engine steps through it cycle by cycle; both charge the
-        identical leakage because finalize charges by elapsed span.
-
-        Returns the list of per-phase durations in cycles (including the
-        computation allowance).
-        """
-        if computation_cycles_per_phase < 0:
-            raise SimulationError("computation cycles per phase must be non-negative")
-        durations: list[int] = []
-        for phase in phases:
-            phase_start = self.current_cycle
-            self.schedule_messages(phase, cycle=self.current_cycle)
-            self.run_until_drained(max_cycles=max_cycles_per_phase)
-            if computation_cycles_per_phase:
-                self.run(computation_cycles_per_phase)
-            durations.append(self.current_cycle - phase_start)
-        return durations
 
     # ------------------------------------------------------------------
     # results

@@ -11,8 +11,9 @@ Three kinds of traffic are needed by the experiments:
   patterns used by the extended benchmarks.
 
 Dependency-aware traffic (the distributed AES rounds) is produced by
-:mod:`repro.aes.distributed` as explicit phases and fed to
-:meth:`repro.noc.simulator.NoCSimulator.run_phases`.
+:mod:`repro.aes.distributed` as explicit phases; the AES traffic mode of
+:mod:`repro.dse.pipeline` replays each phase as a schedule-and-drain step
+of its op program.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from repro.routing.shortest_path import (
     path_length_mm,
 )
 from repro.routing.table import RoutingTable
-from repro.routing.xy import build_xy_routing_table, xy_next_hop, xy_route
 
 __all__ = [
     "RoutingTable",
@@ -35,9 +34,6 @@ __all__ = [
     "dijkstra_shortest_path",
     "all_pairs_shortest_paths",
     "path_length_mm",
-    "xy_next_hop",
-    "xy_route",
-    "build_xy_routing_table",
     "DeadlockReport",
     "analyze_deadlock",
     "assert_deadlock_free",

@@ -5,7 +5,7 @@ topology synthesis: each node stores, for every destination it needs to talk
 to, the neighbour it must forward packets to, derived from the primitives'
 optimal schedules.  This module holds the table abstraction itself; the
 table *construction* lives in :mod:`repro.core.routing_table` (synthesis) and
-:mod:`repro.routing.xy` (mesh baseline).
+:mod:`repro.routing.policies` (standard-fabric baselines).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arch.mesh import MeshTopology, build_mesh
+from repro.arch.mesh import MeshTopology
 from repro.arch.metrics import (
     all_pairs_hop_counts,
     average_hop_count,
@@ -36,7 +36,7 @@ class TestMeshTopology:
             mesh_4x4.coordinates(99)
 
     def test_positions_follow_tile_pitch(self):
-        mesh = build_mesh(2, 3, tile_pitch_mm=1.5)
+        mesh = MeshTopology(2, 3, tile_pitch_mm=1.5)
         assert mesh.position(1).x == pytest.approx(0.0)
         assert mesh.position(3).x == pytest.approx(3.0)
         assert mesh.position(4).y == pytest.approx(1.5)
@@ -47,7 +47,7 @@ class TestMeshTopology:
         assert mesh_4x4.manhattan_hops(5, 5) == 0
 
     def test_custom_node_ids(self):
-        mesh = build_mesh(2, 2, node_ids=["a", "b", "c", "d"])
+        mesh = MeshTopology(2, 2, node_ids=["a", "b", "c", "d"])
         assert mesh.node_at(0, 0) == "a"
         assert mesh.has_channel("a", "b")
 
@@ -62,7 +62,7 @@ class TestMeshTopology:
             MeshTopology(2, 2, node_ids=[1, 1, 2, 3])
 
     def test_rectangular_mesh(self):
-        mesh = build_mesh(2, 4)
+        mesh = MeshTopology(2, 4)
         assert mesh.num_routers == 8
         assert mesh.num_physical_links == 2 * 3 + 4 * 1  # rows + columns
 
@@ -119,7 +119,7 @@ class TestMetrics:
         assert len(result.partition_a) == 8
 
     def test_bisection_bandwidth_heuristic_path(self):
-        mesh = build_mesh(5, 4)  # 20 routers -> heuristic branch
+        mesh = MeshTopology(5, 4)  # 20 routers -> heuristic branch
         result = bisection_bandwidth(mesh, exact_limit=16)
         assert result.bandwidth_bits_per_cycle > 0
 
@@ -127,7 +127,7 @@ class TestMetrics:
         assert bisection_bandwidth(mesh_4x4).exact
 
     def test_bisection_is_labelled_heuristic_above_sixteen_routers(self):
-        line = build_mesh(1, 17)
+        line = MeshTopology(1, 17)
         assert line.num_routers == 17
         result = bisection_bandwidth(line)
         assert not result.exact

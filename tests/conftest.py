@@ -19,7 +19,7 @@ def pytest_addoption(parser: pytest.Parser) -> None:
     )
 
 from repro.aes.acg import build_aes_acg
-from repro.arch.mesh import build_mesh
+from repro.arch.mesh import MeshTopology
 from repro.core.graph import ApplicationGraph, DiGraph
 from repro.core.library import aes_library, default_library
 from repro.experiments.aes_experiment import AesSynthesisResult, run_aes_synthesis
@@ -53,7 +53,7 @@ def aes_synthesis() -> AesSynthesisResult:
 @pytest.fixture(scope="session")
 def mesh_4x4():
     """The 4x4 mesh baseline with 2 mm tile pitch."""
-    return build_mesh(4, 4, tile_pitch_mm=2.0)
+    return MeshTopology(4, 4, tile_pitch_mm=2.0)
 
 
 @pytest.fixture()

@@ -13,6 +13,7 @@ from repro.dse.pipeline import (
     baseline_route_stage,
     build_baseline_fabric,
     evaluate,
+    simulate_stage,
 )
 from repro.dse.records import (
     STATUS_OK,
@@ -28,6 +29,7 @@ from repro.dse.scenarios import (
 )
 from repro.dse.search import run_search
 from repro.exceptions import ConfigurationError, UnknownPluginError
+from repro.routing.policies import POLICIES
 
 
 class TestEvaluationSettings:
@@ -118,6 +120,15 @@ class TestScenario:
     def test_invalid_traffic_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             Scenario(name="x", acg=planted_scenario(12, 1).acg, traffic="gravity")
+
+    def test_negative_computation_allowance_rejected_at_construction(self):
+        """A caller error, not a ``simulation_failed`` result to cache."""
+        with pytest.raises(ConfigurationError, match="computation_cycles_per_phase"):
+            dataclasses.replace(aes_scenario(1), computation_cycles_per_phase=-1)
+
+    def test_empty_packets_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="packet_size_bits"):
+            dataclasses.replace(planted_scenario(12, 1), packet_size_bits=0)
 
 
 class TestBaselineMesh:
@@ -246,27 +257,17 @@ class TestEvaluate:
         assert strict.deadlock_free is False
         assert "deadlock" in strict.error
 
-    def test_mesh_xy_fabric_matches_the_historical_baseline(self):
-        """The refactored table-routed mesh+XY baseline must be metric-
-        identical to the pre-fabric xy_routing_function path."""
-        from dataclasses import asdict
-
-        from repro.dse.pipeline import simulate_acg_traffic
-        from repro.routing.xy import xy_routing_function
-
+    def test_pair_restricted_mesh_table_simulates_like_the_all_pairs_table(self):
+        """The baseline routes only the scenario's traffic pairs; the cell
+        must measure exactly what the all-pairs XY table measures."""
         scenario = planted_scenario(num_nodes=12, seed=11)
         settings = EvaluationSettings(architecture="mesh")
-        mesh = build_baseline_fabric(scenario.acg, family="mesh")
-        legacy = simulate_acg_traffic(
-            "m", mesh, xy_routing_function(mesh), scenario.acg,
-            settings.build_technology(), settings.build_simulator_config(),
-        )
         fabric, table, _ = baseline_route_stage(scenario, settings)
-        modern = simulate_acg_traffic(
-            "m", fabric, table.frozen_next_hop(), scenario.acg,
-            settings.build_technology(), settings.build_simulator_config(),
-        )
-        assert asdict(legacy) == asdict(modern)
+        full = POLICIES.get("xy").build(fabric)
+        assert table.num_entries < full.num_entries
+        restricted = simulate_stage(scenario, settings, "m", fabric, table.frozen_next_hop())
+        all_pairs = simulate_stage(scenario, settings, "m", fabric, full.frozen_next_hop())
+        assert dataclasses.asdict(restricted) == dataclasses.asdict(all_pairs)
 
     def test_failure_becomes_data_not_exception(self):
         scenario = embedded_scenario("vopd")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dse.pipeline import EvaluationSettings, evaluate
+from repro.dse.scenarios import aes_scenario
 from repro.experiments.ablation import run_library_ablation, run_strategy_ablation
 from repro.experiments.aes_experiment import (
     PAPER_AES_COST,
@@ -11,9 +13,10 @@ from repro.experiments.aes_experiment import (
     PAPER_AES_REMAINDER_EDGES,
 )
 from repro.experiments.comparison import (
+    DEFAULT_PIPELINE_DELAY_CYCLES,
     PAPER_RESULTS,
     evaluate_custom,
-    evaluate_mesh,
+    evaluate_fabric,
     export_comparison_topologies,
     run_prototype_comparison,
 )
@@ -139,6 +142,20 @@ class TestAesExperiment:
         assert "paper" in aes_synthesis.describe()
 
 
+#: DSE record metric -> the prototype comparison's ArchitectureMetrics field
+RECORD_FIELDS = {
+    "cycles_per_iteration": "cycles_per_block",
+    "throughput_mbps": "throughput_mbps",
+    "avg_latency_cycles": "average_latency_cycles",
+    "avg_hops": "average_hops",
+    "avg_power_mw": "average_power_mw",
+    "energy_per_iteration_uj": "energy_per_block_uj",
+    "physical_links": "num_physical_links",
+    "max_channel_utilization": "max_channel_utilization",
+    "total_cycles": "total_cycles",
+}
+
+
 @pytest.fixture(scope="module")
 def comparison(aes_synthesis):
     return run_prototype_comparison(blocks=1, synthesis=aes_synthesis)
@@ -178,12 +195,31 @@ class TestPrototypeComparison:
         assert "paper: -51%" in text
 
     def test_evaluate_helpers_reject_invalid_blocks(self, aes_synthesis):
-        from repro.exceptions import ConfigurationError
+        from repro.exceptions import ConfigurationError, SimulationError
 
         with pytest.raises(ConfigurationError):
-            evaluate_mesh(blocks=0)
+            evaluate_fabric(blocks=0)
         with pytest.raises(ConfigurationError):
             evaluate_custom(aes_synthesis.architecture, blocks=0)
+        with pytest.raises(SimulationError):
+            evaluate_fabric(blocks=1, computation_cycles_per_phase=-1)
+
+    @pytest.mark.parametrize("architecture", ["mesh", "custom"])
+    def test_matches_the_dse_aes_scenario(self, comparison, architecture):
+        """The Section-5.2 tables and the DSE ``aes`` scenario are one
+        measurement: every figure agrees bit for bit."""
+        record = evaluate(
+            aes_scenario(1),
+            EvaluationSettings(
+                architecture=architecture,
+                router_pipeline_delay_cycles=DEFAULT_PIPELINE_DELAY_CYCLES,
+            ),
+        )
+        assert record.succeeded, record.error
+        side = getattr(comparison, architecture)
+        assert {name: record.metrics[name] for name in RECORD_FIELDS} == {
+            name: float(getattr(side, field)) for name, field in RECORD_FIELDS.items()
+        }
 
     def test_rows_export(self, comparison):
         rows = comparison.to_rows()

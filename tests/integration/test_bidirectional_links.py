@@ -13,11 +13,9 @@ import pytest
 from repro.core.decomposition import decompose
 from repro.core.library import default_library
 from repro.core.synthesis import SynthesisOptions, synthesize_architecture
-from repro.dse.pipeline import EvaluationSettings, evaluate, simulate_acg_traffic
+from repro.dse.pipeline import EvaluationSettings, Scenario, evaluate, simulate_stage
 from repro.dse.scenarios import tgff_scenario
-from repro.energy.technology import FPGA_VIRTEX2
 from repro.exceptions import RoutingError
-from repro.noc.simulator import SimulatorConfig
 from repro.routing.shortest_path import bfs_shortest_path
 from repro.workloads.acg_builder import acg_from_traffic_table
 
@@ -67,13 +65,12 @@ class TestBidirectionalSynthesis:
         acg, _, bidi = chain_architectures
         assert bidi.is_feasible
         bidi.routing_table.validate_pairs(acg.edges())
-        metrics = simulate_acg_traffic(
+        metrics = simulate_stage(
+            Scenario(name="chain5", acg=acg),
+            EvaluationSettings(),
             bidi.topology.name,
             bidi.topology,
             bidi.routing_table.next_hop,
-            acg,
-            technology=FPGA_VIRTEX2,
-            simulator_config=SimulatorConfig(),
         )
         assert metrics.total_cycles > 0
         assert metrics.average_latency_cycles > 0

@@ -14,7 +14,7 @@ from repro import (
 from repro.arch.metrics import topology_report
 from repro.core.constraints import channel_volume_loads
 from repro.noc import NoCSimulator, SimulatorConfig, acg_messages
-from repro.routing.xy import xy_next_hop
+from repro.routing.policies import POLICIES
 from repro.workloads import acg_from_task_graph, automotive_benchmark, random_decomposable_acg
 
 
@@ -101,7 +101,7 @@ class TestCustomVsMeshStructure:
     def test_mesh_simulation_baseline_consistency(self, mesh_4x4, aes_acg):
         simulator = NoCSimulator(
             mesh_4x4,
-            lambda current, destination: xy_next_hop(mesh_4x4, current, destination),
+            POLICIES.get("xy").build(mesh_4x4).frozen_next_hop(),
             config=SimulatorConfig(router_pipeline_delay_cycles=2),
         )
         simulator.schedule_messages(acg_messages(aes_acg, packet_size_bits=8))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arch.mesh import build_mesh
+from repro.arch.mesh import MeshTopology
 from repro.arch.topology import Topology
 from repro.exceptions import SimulationError
 from repro.noc.packet import Message
@@ -21,7 +21,7 @@ from repro.noc.simulator import (
     SimulatorConfig,
 )
 from repro.noc.traffic import InjectionSchedule, uniform_random_messages
-from repro.routing.xy import xy_routing_function
+from repro.routing.policies import POLICIES
 
 
 def chain_topology(length: int = 4) -> Topology:
@@ -41,10 +41,9 @@ def chain_simulator(**config_overrides) -> NoCSimulator:
 
 
 def mesh_simulator(**config_overrides) -> NoCSimulator:
-    mesh = build_mesh(4, 4)
-    return NoCSimulator(
-        mesh, xy_routing_function(mesh), config=SimulatorConfig(**config_overrides)
-    )
+    mesh = MeshTopology(4, 4)
+    routing = POLICIES.get("xy").build(mesh).frozen_next_hop()
+    return NoCSimulator(mesh, routing, config=SimulatorConfig(**config_overrides))
 
 
 class TestEngineConfig:

@@ -27,7 +27,7 @@ import pytest
 
 from repro.dse.pipeline import EvaluationSettings, baseline_route_stage
 from repro.dse.scenarios import embedded_scenario
-from repro.noc.simulator import ENGINES, ENGINE_REFERENCE, NoCSimulator, SimulatorConfig
+from repro.noc.simulator import ENGINES, ENGINE_REFERENCE, NoCSimulator
 from repro.noc.traffic import acg_messages
 from repro.obs import SimulatorProbe
 from repro.workloads.benchmarks import embedded_benchmark_names

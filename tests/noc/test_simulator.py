@@ -9,7 +9,7 @@ from repro.exceptions import SimulationError
 from repro.noc.packet import Message
 from repro.noc.simulator import NoCSimulator, SimulatorConfig
 from repro.noc.stats import SimulationStatistics, throughput_mbps_from_cycles
-from repro.routing.xy import xy_next_hop
+from repro.routing.policies import POLICIES
 
 
 def two_node_topology(length_mm: float = 2.0) -> Topology:
@@ -26,9 +26,7 @@ def pair_simulator(**config_overrides) -> NoCSimulator:
 
 def mesh_simulator(mesh, **config_overrides) -> NoCSimulator:
     config = SimulatorConfig(**config_overrides)
-    return NoCSimulator(
-        mesh, lambda current, dest: xy_next_hop(mesh, current, dest), config=config
-    )
+    return NoCSimulator(mesh, POLICIES.get("xy").build(mesh).frozen_next_hop(), config=config)
 
 
 class TestBasicDelivery:
@@ -151,23 +149,29 @@ class TestEnergyAccounting:
         assert report["delivered"] == 1
 
 
+def run_phase(simulator: NoCSimulator, phase, computation_cycles: int = 0) -> int:
+    """Inject one phase, drain it, idle; return the phase's cycles."""
+    start = simulator.current_cycle
+    simulator.schedule_messages(phase)
+    simulator.run_until_drained()
+    if computation_cycles:
+        simulator.run(computation_cycles)
+    return simulator.current_cycle - start
+
+
 class TestPhasedExecution:
     def test_phases_run_sequentially(self):
         simulator = pair_simulator()
         phases = [[Message(1, 2, 32)], [Message(2, 1, 32)], [Message(1, 2, 32)]]
-        durations = simulator.run_phases(phases)
+        durations = [run_phase(simulator, phase) for phase in phases]
         assert len(durations) == 3
         assert simulator.statistics.delivered_count == 3
         assert sum(durations) == simulator.statistics.total_cycles
 
     def test_computation_cycles_extend_phases(self):
-        fast = pair_simulator()
-        fast_durations = fast.run_phases([[Message(1, 2, 32)]])
-        slow = pair_simulator()
-        slow_durations = slow.run_phases([[Message(1, 2, 32)]], computation_cycles_per_phase=10)
-        assert slow_durations[0] == fast_durations[0] + 10
-        with pytest.raises(SimulationError):
-            pair_simulator().run_phases([[]], computation_cycles_per_phase=-1)
+        fast = run_phase(pair_simulator(), [Message(1, 2, 32)])
+        slow = run_phase(pair_simulator(), [Message(1, 2, 32)], computation_cycles=10)
+        assert slow == fast + 10
 
 
 class TestStatisticsObject:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.arch.mesh import build_mesh
+from repro.arch.mesh import MeshTopology
 from repro.noc.packet import Message
 from repro.noc.simulator import (
     ENGINE_EVENT,
@@ -11,12 +11,12 @@ from repro.noc.simulator import (
     SimulatorConfig,
 )
 from repro.obs import MetricsRegistry, SimulatorProbe
-from repro.routing.xy import build_xy_routing_table
+from repro.routing.policies import POLICIES
 
 
 def drained_mesh(engine: str, probed: bool) -> tuple[NoCSimulator, SimulatorProbe | None]:
-    mesh = build_mesh(3, 3)
-    routing = build_xy_routing_table(mesh).frozen_next_hop()
+    mesh = MeshTopology(3, 3)
+    routing = POLICIES.get("xy").build(mesh).frozen_next_hop()
     simulator = NoCSimulator(
         mesh, routing, config=SimulatorConfig(engine=engine, router_pipeline_delay_cycles=2)
     )

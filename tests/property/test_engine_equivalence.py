@@ -30,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.arch.mesh import build_mesh
+from repro.arch.mesh import MeshTopology
 from repro.arch.topology import Topology
 from repro.noc.batch import BatchSimulator, DrainOp
 from repro.noc.packet import Message
@@ -42,9 +42,9 @@ from repro.noc.simulator import (
     SimulatorConfig,
 )
 from repro.obs import SimulatorProbe
+from repro.routing.policies import POLICIES
 from repro.routing.shortest_path import all_pairs_shortest_paths
 from repro.routing.table import RoutingTable
-from repro.routing.xy import build_xy_routing_table
 
 pytestmark = pytest.mark.differential
 
@@ -63,8 +63,8 @@ CANDIDATES = (ENGINE_EVENT, ENGINE_BATCH)
 
 
 def mesh_fabric() -> tuple[Topology, object]:
-    mesh = build_mesh(4, 4)
-    return mesh, build_xy_routing_table(mesh).frozen_next_hop()
+    mesh = MeshTopology(4, 4)
+    return mesh, POLICIES.get("xy").build(mesh).frozen_next_hop()
 
 
 def custom_fabric() -> tuple[Topology, object]:
@@ -253,9 +253,10 @@ def test_probed_engines_equivalent_and_unperturbed(
     computation=st.integers(min_value=0, max_value=20),
 )
 def test_phased_execution_equivalent(traffic, computation):
-    """run_phases: the analytic idle jump matches the stepped idle crawl."""
+    """Schedule, drain, then idle per phase (the AES traffic program's ops):
+    the analytic idle jump matches the stepped idle crawl."""
     phases: list[list[Message]] = [[], [], []]
-    mesh = build_mesh(4, 4)
+    mesh = MeshTopology(4, 4)
     nodes = mesh.routers()
     for index, (cycle, s, d, size) in enumerate(traffic):
         source, destination = nodes[s % len(nodes)], nodes[d % len(nodes)]
@@ -269,9 +270,14 @@ def test_phased_execution_equivalent(traffic, computation):
         simulator = NoCSimulator(
             topology, routing, config=SimulatorConfig(engine=engine)
         )
-        durations = simulator.run_phases(
-            phases, computation_cycles_per_phase=computation
-        )
+        durations = []
+        for phase in phases:
+            start = simulator.current_cycle
+            simulator.schedule_messages(phase)
+            simulator.run_until_drained()
+            if computation:
+                simulator.run(computation)
+            durations.append(simulator.current_cycle - start)
         runs[engine] = (simulator, durations)
     oracle, oracle_durations = runs[ORACLE]
     for engine in CANDIDATES:

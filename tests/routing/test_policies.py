@@ -16,7 +16,6 @@ from repro.arch.topology import Topology
 from repro.exceptions import ConfigurationError, RoutingError
 from repro.routing.deadlock import analyze_deadlock
 from repro.routing.policies import POLICIES, build_policy_table, supported_policies
-from repro.routing.xy import build_xy_routing_table
 
 
 def _all_pairs(topology: Topology):
@@ -54,12 +53,6 @@ class TestRegistry:
 
 
 class TestGridPolicies:
-    def test_xy_policy_matches_the_classic_xy_table(self):
-        mesh = MeshTopology(4, 4)
-        policy_table = build_policy_table("xy", mesh)
-        classic = build_xy_routing_table(mesh)
-        assert policy_table.entries() == classic.entries()
-
     def test_yx_differs_from_xy_but_is_minimal(self):
         mesh = MeshTopology(4, 4)
         xy = build_policy_table("xy", mesh)

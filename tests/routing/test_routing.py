@@ -11,6 +11,7 @@ from repro.routing.deadlock import (
     assert_deadlock_free,
     build_channel_dependency_graph,
 )
+from repro.routing.policies import POLICIES
 from repro.routing.shortest_path import (
     all_pairs_shortest_paths,
     bfs_shortest_path,
@@ -18,7 +19,6 @@ from repro.routing.shortest_path import (
     path_length_mm,
 )
 from repro.routing.table import RoutingTable
-from repro.routing.xy import build_xy_routing_table, xy_next_hop, xy_route
 
 
 @pytest.fixture()
@@ -123,29 +123,34 @@ class TestRoutingTable:
         assert "via" in table.describe()
 
 
+def xy_table(mesh, pairs=None) -> RoutingTable:
+    return POLICIES.get("xy").build(mesh, pairs)
+
+
 class TestXYRouting:
     def test_next_hop_moves_along_x_first(self, mesh_4x4):
+        table = xy_table(mesh_4x4)
         # node 1 is (0,0), node 16 is (3,3): go east first
-        assert xy_next_hop(mesh_4x4, 1, 16) == 2
+        assert table.next_hop(1, 16) == 2
         # aligned in column -> go south
-        assert xy_next_hop(mesh_4x4, 1, 13) == 5
+        assert table.next_hop(1, 13) == 5
         with pytest.raises(RoutingError):
-            xy_next_hop(mesh_4x4, 1, 1)
+            table.next_hop(1, 1)
 
     def test_route_has_manhattan_length(self, mesh_4x4):
-        route = xy_route(mesh_4x4, 1, 16)
+        route = xy_table(mesh_4x4).route(1, 16)
         assert len(route) - 1 == mesh_4x4.manhattan_hops(1, 16)
         assert route[0] == 1 and route[-1] == 16
 
     def test_full_table_is_complete_and_deadlock_free(self, mesh_4x4):
-        table = build_xy_routing_table(mesh_4x4)
+        table = xy_table(mesh_4x4)
         pairs = [(s, d) for s in mesh_4x4.routers() for d in mesh_4x4.routers() if s != d]
         table.validate_pairs(pairs)
         report = analyze_deadlock(table, pairs)
         assert report.is_deadlock_free
 
     def test_partial_table(self, mesh_4x4):
-        table = build_xy_routing_table(mesh_4x4, pairs=[(1, 16)])
+        table = xy_table(mesh_4x4, pairs=[(1, 16)])
         assert table.route(1, 16)[-1] == 16
         assert not table.has_route(16, 1)
 
@@ -165,7 +170,7 @@ class TestDeadlockAnalysis:
         return table, pairs
 
     def test_cdg_construction(self, mesh_4x4):
-        table = build_xy_routing_table(mesh_4x4, pairs=[(1, 16)])
+        table = xy_table(mesh_4x4, pairs=[(1, 16)])
         cdg = build_channel_dependency_graph(table, [(1, 16)])
         assert cdg.num_nodes == 6  # six channels on the 6-hop route
         assert cdg.num_edges == 5
@@ -184,7 +189,7 @@ class TestDeadlockAnalysis:
             assert_deadlock_free(table, pairs)
 
     def test_deadlock_free_report_describes_itself(self, mesh_4x4):
-        table = build_xy_routing_table(mesh_4x4, pairs=[(1, 16), (16, 1)])
+        table = xy_table(mesh_4x4, pairs=[(1, 16), (16, 1)])
         report = analyze_deadlock(table, [(1, 16), (16, 1)])
         assert report.is_deadlock_free
         assert "deadlock-free" in report.describe()
